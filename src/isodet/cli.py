@@ -49,7 +49,7 @@ def parse_field(tag: str) -> Field:
         raise DocumentError(f"unknown field tag {tag!r} (use Q or F<p>)")
     try:
         return Field(int(m.group(1)))
-    except FieldError as exc:
+    except ValueError as exc:  # a FieldError, or too many digits
         raise DocumentError(str(exc)) from None
 
 
@@ -65,7 +65,7 @@ def parse_document(text: str) -> Matrix:
     if stripped[0] == "{":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DocumentError(f"bad JSON: {exc}") from None
         if not isinstance(doc, dict) or "field" not in doc or "rows" not in doc:
             raise DocumentError('JSON document needs "field" and "rows"')
@@ -92,7 +92,7 @@ def parse_document(text: str) -> Matrix:
         raise DocumentError("matrix must be square")
     try:
         return Matrix(field, str_rows)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad entry: {exc}") from None
 
 

@@ -74,10 +74,14 @@ def odd_unipotent_counts(B: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (0,), ()
     cosquare = inverse(B.transpose()) * B
     r = power_rank_sequence(cosquare, f.one(), b + 1)
-    kmax = (b - 1) // 2
+    return tuple(r), _block_counts(r, (b - 1) // 2)
+
+
+def _block_counts(r: list[int], kmax: int) -> tuple[int, ...]:
+    """c_k = r_{2k} - 2 r_{2k+1} + r_{2k+2} for k = 0..kmax, with r padded
+    by its last (stable) value."""
     padded = list(r) + [r[-1]] * (2 * kmax + 3 - len(r))
-    c = tuple(padded[2 * k] - 2 * padded[2 * k + 1] + padded[2 * k + 2] for k in range(kmax + 1))
-    return tuple(r), c
+    return tuple(padded[2 * k] - 2 * padded[2 * k + 1] + padded[2 * k + 2] for k in range(kmax + 1))
 
 
 def certificate_singular(M: Matrix, reg: RegularizationResult) -> Matrix:
@@ -107,15 +111,12 @@ def certificate_singular(M: Matrix, reg: RegularizationResult) -> Matrix:
 
 
 def verify_certificate(M: Matrix, S: Matrix) -> bool:
-    """True iff S is a nonsingular isometry of M with determinant -1."""
+    """True iff S is an isometry of M with determinant -1 (so nonsingular)."""
     if not (M.is_square and S.is_square) or M.nrows != S.nrows:
-        return False
-    f = M.field
-    if rank(S) != S.nrows:
         return False
     if S.transpose() * M * S != M:
         return False
-    return det(S) == f.neg(f.one())
+    return det(S) == M.field.convert(-1)
 
 
 def decide(M: Matrix, use_fast_path: bool = True) -> DecisionReport:
@@ -133,9 +134,9 @@ def decide(M: Matrix, use_fast_path: bool = True) -> DecisionReport:
     reg = regularize(M)
     sizes = reg.singular_sizes
     odd_singular = any(s % 2 == 1 for s in sizes)
-    r_seq, c_b = odd_unipotent_counts(reg.regular_part)
-    kmax = (n - 1) // 2 if n > 0 else -1
-    counts = tuple(c_b[k] if k < len(c_b) else 0 for k in range(kmax + 1))
+    # padding is exact: c_k = 0 once 2k+1 exceeds the regular part's size
+    r_seq, _ = odd_unipotent_counts(reg.regular_part)
+    counts = _block_counts(r_seq, (n - 1) // 2)
     ok = not odd_singular and all(c == 0 for c in counts)
 
     if fast and not ok:
@@ -199,9 +200,7 @@ def decide_gamma_shift(M: Matrix) -> DecisionReport:
     N = inverse(MT + M.scale(gamma)) * M
     mu = f.inv(f.add(f.one(), gamma))
     r = power_rank_sequence(N, mu, n + 1)
-    kmax = (n - 1) // 2
-    padded = list(r) + [r[-1]] * (2 * kmax + 3 - len(r))
-    counts = tuple(padded[2 * k] - 2 * padded[2 * k + 1] + padded[2 * k + 2] for k in range(kmax + 1))
+    counts = _block_counts(r, (n - 1) // 2)
     ok = all(c == 0 for c in counts)
     return DecisionReport(
         all_det_one=ok,

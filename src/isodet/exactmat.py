@@ -4,30 +4,57 @@ Scalars are plain values: `fractions.Fraction` over Q (always in lowest terms
 with positive denominator) and canonical ints in [0, p) over F_p.  Every
 matrix and polynomial carries the `Field` that owns its entries; there is no
 floating point anywhere.
+
+Arithmetic runs on Python ints: over Q a row or column enters a kernel
+scaled by the lcm of its denominators, and a `Fraction` is built only for
+an output entry.  `rank`, `rref` (so `nullspace`, `solve`, `inverse`) and
+`det` share one fraction-free elimination kernel, `_eliminate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 
 class FieldError(ValueError):
-    """Unsupported coefficient field (characteristic 2, or modulus not prime)."""
+    """Unsupported coefficient field (characteristic 2, modulus not prime,
+    or modulus beyond the exact primality test)."""
 
 
 class SingularMatrixError(ArithmeticError):
     """An operation required an invertible matrix but received a singular one."""
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson & Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for n < MAX_MODULUS; FieldError above it."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= MAX_MODULUS:
+        raise FieldError(f"modulus {n} is not below the supported limit {MAX_MODULUS}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -86,9 +113,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero field element")
         return 1 / a if self.p is None else pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -112,6 +136,28 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
+def _scaled(vecs):
+    """Rational vectors as (integer vector, lcm of the denominators) pairs."""
+    out = []
+    for v in vecs:
+        dens = [x.denominator for x in v]
+        s = lcm(*dens)
+        if s == 1:
+            out.append(([x.numerator for x in v], 1))
+        else:
+            out.append(([x.numerator * (s // d) for x, d in zip(v, dens)], s))
+    return out
+
+
+def dot_rows(field: Field, rows: Iterable[Sequence], v: Sequence) -> tuple:
+    """The dot product of each row with v, as a tuple of field elements."""
+    p = field.p
+    if p is not None:
+        return tuple(sum(map(mul, r, v)) % p for r in rows)
+    ((w, t),) = _scaled((v,))
+    return tuple(Fraction(sum(map(mul, r, w)), s * t) for r, s in _scaled(rows))
+
+
 class Matrix:
     """Immutable dense matrix over a fixed field.  0x0 matrices are legal."""
 
@@ -129,24 +175,31 @@ class Matrix:
         else:
             self.ncols = 0 if ncols is None else ncols
 
+    @classmethod
+    def _of(cls, field: Field, rows: Iterable[Sequence], ncols: int) -> "Matrix":
+        """A matrix from rows whose entries are already canonical field elements."""
+        M = object.__new__(cls)
+        M.field = field
+        M.rows = tuple(map(tuple, rows))
+        M.nrows = len(M.rows)
+        M.ncols = ncols
+        return M
+
     @staticmethod
     def zeros(field: Field, m: int, n: int) -> "Matrix":
         z = field.zero()
-        return Matrix(field, [[z] * n for _ in range(m)], ncols=n)
+        return Matrix._of(field, [[z] * n for _ in range(m)], n)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         z, o = field.zero(), field.one()
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)], ncols=n)
+        return Matrix._of(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def from_cols(field: Field, cols: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
-        cols = [tuple(c) for c in cols]
-        if cols:
-            m = len(cols[0])
-        else:
-            m = 0 if nrows is None else nrows
-        return Matrix(field, [[c[i] for c in cols] for i in range(m)], ncols=len(cols))
+        cols = list(cols)
+        rows = list(zip(*cols, strict=True)) if cols else [()] * (nrows or 0)
+        return Matrix(field, rows, ncols=len(cols))
 
     @property
     def is_square(self) -> bool:
@@ -176,27 +229,20 @@ class Matrix:
     def col(self, j):
         return tuple(r[j] for r in self.rows)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        add = self.field.add
-        return Matrix(
-            self.field,
-            [[add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        return Matrix._of(self.field, [map(op, ra, rb) for ra, rb in zip(self.rows, other.rows)],
+                          self.ncols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        sub = self.field.sub
-        return Matrix(
-            self.field,
-            [[sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        return self._entrywise(self.field.sub, other)
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
-        return Matrix(self.field, [[neg(a) for a in r] for r in self.rows], ncols=self.ncols)
+        return Matrix._of(self.field, [[neg(a) for a in r] for r in self.rows], self.ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -204,42 +250,31 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         f = self.field
-        add, mul, z = f.add, f.mul, f.zero()
-        ocols = [other.col(j) for j in range(other.ncols)]
-        out = []
-        for r in self.rows:
-            line = []
-            for c in ocols:
-                s = z
-                for a, b in zip(r, c):
-                    s = add(s, mul(a, b))
-                line.append(s)
-            out.append(line)
-        return Matrix(f, out, ncols=other.ncols)
+        cols = list(zip(*other.rows)) if other.nrows else [()] * other.ncols
+        p = f.p
+        if p is not None:
+            out = [[sum(map(mul, r, c)) % p for c in cols] for r in self.rows]
+        else:
+            right = _scaled(cols)
+            out = [[Fraction(sum(map(mul, r, c)), s * t) for c, t in right]
+                   for r, s in _scaled(self.rows)]
+        return Matrix._of(f, out, other.ncols)
 
     def scale(self, c) -> "Matrix":
-        mul = self.field.mul
+        fmul = self.field.mul
         c = self.field.convert(c)
-        return Matrix(self.field, [[mul(c, a) for a in r] for r in self.rows], ncols=self.ncols)
+        return Matrix._of(self.field, [[fmul(c, a) for a in r] for r in self.rows], self.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [], ncols=self.nrows)
+        return Matrix._of(self.field, zip(*self.rows) if self.rows else [], self.nrows)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "Matrix":
         ci = list(col_idx)
-        return Matrix(self.field, [[self.rows[i][j] for j in ci] for i in row_idx], ncols=len(ci))
+        return Matrix._of(self.field, [[self.rows[i][j] for j in ci] for i in row_idx], len(ci))
 
     def apply_to_vec(self, v: Sequence):
         """Matrix-vector product A·v with v a plain coefficient sequence."""
-        f = self.field
-        add, mul, z = f.add, f.mul, f.zero()
-        out = []
-        for r in self.rows:
-            s = z
-            for a, b in zip(r, v):
-                s = add(s, mul(a, b))
-            out.append(s)
-        return tuple(out)
+        return dot_rows(self.field, self.rows, v)
 
     def to_lists(self):
         return [list(r) for r in self.rows]
@@ -256,120 +291,127 @@ class Matrix:
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     if top.ncols != bottom.ncols or top.field != bottom.field:
         raise ValueError("vstack mismatch")
-    return Matrix(top.field, list(top.rows) + list(bottom.rows), ncols=top.ncols)
+    return Matrix._of(top.field, top.rows + bottom.rows, top.ncols)
 
 
 def hstack(left: Matrix, right: Matrix) -> Matrix:
     if left.nrows != right.nrows or left.field != right.field:
         raise ValueError("hstack mismatch")
-    return Matrix(left.field, [list(a) + list(b) for a, b in zip(left.rows, right.rows)],
-                  ncols=left.ncols + right.ncols)
+    return Matrix._of(left.field, [a + b for a, b in zip(left.rows, right.rows)],
+                      left.ncols + right.ncols)
 
 
-def _forward_eliminate(rows, field):
-    """In-place forward elimination; returns the number of pivots."""
+def _int_rows(A: Matrix) -> tuple[list[list[int]], int]:
+    """A's rows as mutable int lists, and the product of the row scales."""
+    if A.field.p is not None:
+        return [list(r) for r in A.rows], 1
+    pairs = _scaled(A.rows)
+    return [r for r, _ in pairs], prod(s for _, s in pairs)
+
+
+def _eliminate(rows: list[list[int]], ncols: int, p: int | None,
+               reduced: bool = False) -> tuple[list[int], int, int]:
+    """Row-reduce integer rows in place; return (pivot columns, num, den).
+
+    Over F_p each pivot row is scaled to a leading 1 and a row update is
+    reduced mod p once.  Over Q a row update is fraction-free: row ←
+    (a·row − b·pivot_row) / h with a/b the pivot over the row's entry in
+    lowest terms and h the content of the result.  The row then stays the
+    primitive integer vector along the corresponding row of Gaussian
+    elimination, so entries never outgrow Bareiss's minors (Math. Comp. 22
+    (1968)) and shrink wherever the rational entries cancel.
+
+    Row i < rank then holds a multiple of row i of the (reduced, if asked)
+    echelon form; the rows below are zero.  For a square nonsingular input,
+    det = (product of the pivots left in rows) · num / den.
+    """
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    sub, mul, div = field.sub, field.mul, field.div
-    piv = 0
-    for col in range(n):
-        if piv >= m:
+    piv: list[int] = []
+    num = den = 1
+    for c in range(ncols):
+        r = len(piv)
+        if r == m:
             break
-        src = None
-        for i in range(piv, m):
-            if not field.is_zero(rows[i][col]):
-                src = i
-                break
+        src = next((i for i in range(r, m) if rows[i][c]), None)
         if src is None:
             continue
-        rows[piv], rows[src] = rows[src], rows[piv]
-        prow = rows[piv]
-        pval = prow[col]
-        for i in range(piv + 1, m):
-            f = rows[i][col]
-            if field.is_zero(f):
+        if src != r:
+            rows[r], rows[src] = rows[src], rows[r]
+            num = -num
+        prow = rows[r]
+        pv = prow[c]
+        if p is not None and pv != 1:
+            num = num * pv % p
+            inv = pow(pv, -1, p)
+            prow = rows[r] = [x * inv % p for x in prow]
+        tail = prow[c:]
+        for i in range(0 if reduced else r + 1, m):
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
                 continue
-            ratio = div(f, pval)
-            ri = rows[i]
-            for j in range(col, n):
-                ri[j] = sub(ri[j], mul(prow[j], ratio))
-        piv += 1
-    return piv
+            if p is not None:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+                continue
+            g = gcd(pv, f)
+            a, b = pv // g, f // g
+            # entries left of c are zero in the pivot row and, below it, in row i
+            lo, ptail = (0, prow) if i < r else (c, tail)
+            new = [a * x - b * y for x, y in zip(row[lo:], ptail)]
+            h = gcd(*new)
+            if h > 1:
+                new = [x // h for x in new]
+                num *= h
+            row[lo:] = new
+            den *= a
+        piv.append(c)
+    return piv, num, den
 
 
 def rank(A: Matrix) -> int:
-    """Rank over the matrix's field, by Gaussian elimination with exact arithmetic."""
-    rows = [list(r) for r in A.rows]
-    if not rows:
-        return 0
-    return _forward_eliminate(rows, A.field)
+    """Rank over the matrix's field, by exact fraction-free elimination."""
+    rows, _ = _int_rows(A)
+    return len(_eliminate(rows, A.ncols, A.field.p)[0])
 
 
 def rref(A: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     f = A.field
-    rows = [list(r) for r in A.rows]
-    m, n = A.nrows, A.ncols
-    sub, mul = f.sub, f.mul
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        src = None
-        for i in range(r, m):
-            if not f.is_zero(rows[i][c]):
-                src = i
-                break
-        if src is None:
-            continue
-        rows[r], rows[src] = rows[src], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [mul(inv, x) for x in rows[r]]
-        for i in range(m):
-            if i != r and not f.is_zero(rows[i][c]):
-                fac = rows[i][c]
-                rows[i] = [sub(x, mul(fac, y)) for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    return Matrix(f, rows, ncols=n), piv_cols
+    n = A.ncols
+    rows, _ = _int_rows(A)
+    piv, _, _ = _eliminate(rows, n, f.p, reduced=True)
+    if f.p is None:
+        zero = Fraction(0)
+        rows = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, piv)]
+        rows += [[zero] * n for _ in range(A.nrows - len(piv))]
+    return Matrix._of(f, rows, n), piv
 
 
 def nullspace(A: Matrix) -> Matrix:
     """Right null space basis, returned as the columns of an n x k matrix."""
     f = A.field
     R, piv = rref(A)
-    n = A.ncols
-    piv_set = set(piv)
-    free = [j for j in range(n) if j not in piv_set]
-    cols = []
-    for fv in free:
-        v = [f.zero()] * n
-        v[fv] = f.one()
-        for r_i, pc in enumerate(piv):
-            v[pc] = f.neg(R[r_i, fv])
-        cols.append(v)
-    return Matrix.from_cols(f, cols, nrows=n)
+    free = [j for j in range(A.ncols) if j not in set(piv)]
+    zero, one = f.zero(), f.one()
+    rows = [[one if j == fv else zero for fv in free] for j in range(A.ncols)]
+    for i, pc in enumerate(piv):
+        rows[pc] = [f.neg(R.rows[i][fv]) for fv in free]
+    return Matrix._of(f, rows, len(free))
 
 
 def solve(A: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution of A·X = b (free variables set to zero), or None."""
     if A.nrows != b.nrows:
         raise ValueError("solve shape mismatch")
-    f = A.field
-    aug = hstack(A, b)
-    R, piv = rref(aug)
     n = A.ncols
+    R, piv = rref(hstack(A, b))
     # a pivot in the augmented part means the system is inconsistent
-    if any(pc >= n for pc in piv):
+    if piv and piv[-1] >= n:
         return None
-    cols = []
-    for k in range(b.ncols):
-        v = [f.zero()] * n
-        for r_i, pc in enumerate(piv):
-            v[pc] = R[r_i, n + k]
-        cols.append(v)
-    return Matrix.from_cols(f, cols, nrows=n)
+    rows = [[A.field.zero()] * b.ncols for _ in range(n)]
+    for i, pc in enumerate(piv):
+        rows[pc] = R.rows[i][n:]
+    return Matrix._of(A.field, rows, b.ncols)
 
 
 def inverse(A: Matrix) -> Matrix:
@@ -379,45 +421,23 @@ def inverse(A: Matrix) -> Matrix:
     n = A.nrows
     if n == 0:
         return A
-    f = A.field
-    aug = hstack(A, Matrix.identity(f, n))
-    R, piv = rref(aug)
+    R, piv = rref(hstack(A, Matrix.identity(A.field, n)))
     if piv != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return R.submatrix(range(n), range(n, 2 * n))
 
 
 def det(A: Matrix):
-    """Exact determinant by fraction-free (Bareiss) elimination; det(0x0) = 1."""
+    """Exact determinant by fraction-free elimination; det(0x0) = 1."""
     if not A.is_square:
         raise ValueError("determinant of a non-square matrix")
     f = A.field
-    n = A.nrows
-    if n == 0:
-        return f.one()
-    rows = [list(r) for r in A.rows]
-    sub, mul, div = f.sub, f.mul, f.div
-    sign = 1
-    prev = f.one()
-    for k in range(n - 1):
-        src = None
-        for i in range(k, n):
-            if not f.is_zero(rows[i][k]):
-                src = i
-                break
-        if src is None:
-            return f.zero()
-        if src != k:
-            rows[k], rows[src] = rows[src], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = sub(mul(rows[k][k], rows[i][j]), mul(rows[i][k], rows[k][j]))
-                rows[i][j] = div(num, prev)
-            rows[i][k] = f.zero()
-        prev = rows[k][k]
-    d = rows[n - 1][n - 1]
-    return f.neg(d) if sign < 0 else d
+    rows, scale = _int_rows(A)
+    piv, num, den = _eliminate(rows, A.ncols, f.p)
+    if len(piv) < A.nrows:
+        return f.zero()
+    d = prod(row[c] for row, c in zip(rows, piv)) * num
+    return Fraction(d, den * scale) if f.p is None else d % f.p
 
 
 class Poly:

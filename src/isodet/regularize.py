@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import direct_sum, jordan
-from .exactmat import Matrix, nullspace, rank, solve, vstack
+from .exactmat import Matrix, dot_rows, nullspace, rank, rref, solve, vstack
 
 
 class RegularizationError(AssertionError):
@@ -84,17 +84,12 @@ def _unit(f, n, i):
 
 def _add_scaled(f, u, v, c):
     """u + c*v componentwise."""
-    return tuple(f.add(a, f.mul(c, b)) for a, b in zip(u, v))
+    return dot_rows(f, zip(u, v), (f.one(), c))
 
 
 def _pair(G: Matrix, u, v):
     """The form value u^T G v."""
-    f = G.field
-    Gv = G.apply_to_vec(v)
-    s = f.zero()
-    for a, b in zip(u, Gv):
-        s = f.add(s, f.mul(a, b))
-    return s
+    return dot_rows(G.field, (u,), G.apply_to_vec(v))[0]
 
 
 def _kernel_members(A: Matrix, Vmat: Matrix) -> list[tuple]:
@@ -106,18 +101,15 @@ def _kernel_members(A: Matrix, Vmat: Matrix) -> list[tuple]:
 
 
 def _greedy_extend(f, base: list[tuple], pool: list[tuple], n: int) -> list[tuple]:
-    """Pool vectors that extend base to a larger independent set, in order."""
-    chosen: list[tuple] = []
-    cur = list(base)
-    r = rank(Matrix.from_cols(f, cur, nrows=n)) if cur else 0
-    for v in pool:
-        cand = cur + [v]
-        r2 = rank(Matrix.from_cols(f, cand, nrows=n))
-        if r2 > r:
-            chosen.append(v)
-            cur = cand
-            r = r2
-    return chosen
+    """Pool vectors that extend base to a larger independent set, in order.
+
+    Column j of [base | pool] is a pivot of its reduced row echelon form
+    exactly when it is independent of columns 0..j-1: the greedy choice.
+    """
+    if not pool:
+        return []
+    _, piv = rref(Matrix.from_cols(f, base + pool, nrows=n))
+    return [pool[j - len(base)] for j in piv if j >= len(base)]
 
 
 def _decompose(G: Matrix) -> tuple[list[tuple], list[list[tuple]]]:
@@ -181,21 +173,18 @@ def _decompose(G: Matrix) -> tuple[list[tuple], list[list[tuple]]]:
         raise RegularizationError("chain end count mismatch")
 
     stubs = longs + [[h] for h in heads]
-    n_heads = len(heads)
     n_longs = len(longs)
 
     # The true final vector of each stubbed chain: the unique z with
     # G^T z = G d and G z = 0 (uniqueness because the two-sided kernel is 0).
-    stacked = vstack(GT, G)
     z_vecs: list[tuple] = []
-    zero_vec = [f.zero()] * n
-    for ch in stubs:
-        d = ch[-1]
-        rhs = Matrix.from_cols(f, [list(G.apply_to_vec(d)) + zero_vec], nrows=2 * n)
-        zsol = solve(stacked, rhs)
-        if zsol is None:
+    if stubs:
+        zero_vec = (f.zero(),) * n
+        rhs = Matrix.from_cols(f, [G.apply_to_vec(ch[-1]) + zero_vec for ch in stubs])
+        Z = solve(vstack(GT, G), rhs)
+        if Z is None:
             raise RegularizationError("chain end equation inconsistent")
-        z_vecs.append(zsol.col(0))
+        z_vecs = [Z.col(j) for j in range(Z.ncols)]
 
     # Remaining kernel directions are the ends of length-2 chains.
     kernel_pool = [K.col(j) for j in range(q)]
@@ -204,50 +193,40 @@ def _decompose(G: Matrix) -> tuple[list[tuple], list[list[tuple]]]:
         raise RegularizationError("kernel accounting mismatch")
 
     # Chain records: (stub vectors, end vector, is_head_chain)
-    records = []
-    for i, ch in enumerate(stubs):
-        records.append((ch, z_vecs[i], i >= n_longs))
-    for e in leftovers:
-        records.append(([], e, False))
+    records = [(ch, z, i >= n_longs) for i, (ch, z) in enumerate(zip(stubs, z_vecs))]
+    records += [([], e, False) for e in leftovers]
     ends_all = [rec[1] for rec in records]
     r = len(records)
+    head_chain_idx = [j for j, rec in enumerate(records) if rec[2]]
 
-    # Solve for the next-to-last vector of each chain.
-    long_vec_rows = [v for ch, _, is_head in records if ch and not is_head for v in ch]
-    known_rows = b_vecs + long_vec_rows
+    # Solve for the next-to-last vector of each chain.  Every system pairs
+    # with the ends and the head stubs; the others also with the known vectors.
+    one, zero = f.one(), f.zero()
+    shared = ([GT.apply_to_vec(e) for e in ends_all]
+              + [G.apply_to_vec(records[m][0][0]) for m in head_chain_idx])
+    known_rows = b_vecs + [v for ch, _, is_head in records if ch and not is_head for v in ch]
+    known_G = [G.apply_to_vec(v) for v in known_rows]
     xs: list[tuple] = []
     for j, (stub, _end, is_head) in enumerate(records):
-        rows: list[list] = []
-        rhs: list = []
-        for k, end_k in enumerate(ends_all):
-            rows.append(list(GT.apply_to_vec(end_k)))
-            rhs.append(f.one() if k == j else f.zero())
-        for m, (hstub, _e2, h_is) in enumerate(records):
-            if not h_is:
-                continue
-            rows.append(list(G.apply_to_vec(hstub[0])))
-            rhs.append(f.one() if m == j else f.zero())
-        if stub and not is_head:
-            rows.append(list(G.apply_to_vec(stub[-1])))
-            rhs.append(f.one())
+        rows = list(shared)
+        rhs = [one if k == j else zero for k in range(r)]
+        rhs += [one if m == j else zero for m in head_chain_idx]
         if not is_head:
             d = stub[-1] if stub else None
-            for v in known_rows:
-                if d is not None and v is d:
-                    continue
-                rows.append(list(G.apply_to_vec(v)))
-                rhs.append(f.zero())
-        A = Matrix(f, rows, ncols=n)
-        bcol = Matrix.from_cols(f, [rhs], nrows=len(rhs))
-        xsol = solve(A, bcol)
+            if stub:
+                rows.append(G.apply_to_vec(d))
+                rhs.append(one)
+            for v, Gv in zip(known_rows, known_G):
+                if v is not d:
+                    rows.append(Gv)
+                    rhs.append(zero)
+        xsol = solve(Matrix(f, rows, ncols=n), Matrix.from_cols(f, [rhs], nrows=len(rhs)))
         if xsol is None:
             raise RegularizationError("pairing system inconsistent")
         xs.append(xsol.col(0))
 
     # Correction passes.  All three use only directions that pair to zero
     # with everything already fixed, so they commute and need one sweep each.
-    head_chain_idx = [j for j, rec in enumerate(records) if rec[2]]
-
     def fix_vector(v):
         # head components first: invisible to the restriction, detected by x_j
         for j in head_chain_idx:
@@ -262,12 +241,8 @@ def _decompose(G: Matrix) -> tuple[list[tuple], list[list[tuple]]]:
         return v
 
     b_vecs = [fix_vector(v) for v in b_vecs]
-    fixed_records = []
-    for stub, end, is_head in records:
-        if stub and not is_head:
-            stub = [fix_vector(v) for v in stub]
-        fixed_records.append((stub, end, is_head))
-    records = fixed_records
+    records = [(stub if is_head else [fix_vector(v) for v in stub], end, is_head)
+               for stub, end, is_head in records]
 
     # Cross terms among the solved vectors, absorbed by the chain ends.
     D = [[_pair(G, xs[j], xs[k]) for k in range(r)] for j in range(r)]

@@ -76,3 +76,67 @@ def filtration_sizes(M: Matrix) -> tuple[int, ...]:
         even_exact = (ge_this - ge_next) - odd_exact
         sizes += [2 * j - 1] * odd_exact + [2 * j] * even_exact
     return tuple(sorted(sizes))
+
+
+# --- naive reference for the elimination kernel ------------------------------
+#
+# Textbook Gauss-Jordan elimination on field elements through the Field
+# methods, one scalar operation at a time: slow, but shares no code with the
+# integer kernel in exactmat, so the differential tests compare two routes.
+
+
+def ref_rref(A: Matrix):
+    """(rows of the reduced row echelon form, pivot columns)."""
+    f = A.field
+    rows = [list(r) for r in A.rows]
+    m, n = A.nrows, A.ncols
+    piv = []
+    for c in range(n):
+        r = len(piv)
+        src = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                fac = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(fac, y)) for x, y in zip(rows[i], rows[r])]
+        piv.append(c)
+    return rows, piv
+
+
+def ref_det(A: Matrix):
+    """Determinant as the signed product of Gaussian pivots."""
+    f = A.field
+    rows = [list(r) for r in A.rows]
+    n = A.nrows
+    d = f.one()
+    for c in range(n):
+        src = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if src is None:
+            return f.zero()
+        if src != c:
+            rows[c], rows[src] = rows[src], rows[c]
+            d = f.neg(d)
+        d = f.mul(d, rows[c][c])
+        for i in range(c + 1, n):
+            ratio = f.mul(rows[i][c], f.inv(rows[c][c]))
+            rows[i] = [f.sub(x, f.mul(ratio, y)) for x, y in zip(rows[i], rows[c])]
+    return d
+
+
+def ref_matmul(A: Matrix, B: Matrix):
+    """Rows of A·B by the triple loop."""
+    f = A.field
+    out = []
+    for i in range(A.nrows):
+        line = []
+        for j in range(B.ncols):
+            s = f.zero()
+            for k in range(A.ncols):
+                s = f.add(s, f.mul(A[i, k], B[k, j]))
+            line.append(s)
+        out.append(line)
+    return out

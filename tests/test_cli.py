@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from isodet.cli import main, parse_document, print_document
+from isodet.cli import DocumentError, main, parse_document, print_document
 from isodet import GF, QQ, Matrix
 
 
@@ -53,6 +59,62 @@ class TestParsing:
                            stdin='{"field": "Q", "rows": [["1", "2"]]}',
                            monkeypatch=monkeypatch)
         assert code == 2
+
+    @pytest.mark.parametrize("doc", [
+        '{"field": "Q", "rows": [["1/0"]]}',
+        '{"field": "F1000000000000000000000000000057", "rows": [["1"]]}',
+        '{"field": "F' + "9" * 5000 + '", "rows": [["1"]]}',
+        '{"field": "Q", "rows": [[' + "1" * 5000 + ']]}',
+    ], ids=["zero-denominator", "modulus-above-limit", "huge-modulus", "huge-json-int"])
+    def test_bad_input_exits_two_without_traceback(self, doc):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "isodet.cli", "decide", "-"], input=doc,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "error" in proc.stderr
+
+    def test_large_prime_modulus(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, ["decide", "-"],
+                           stdin='{"field": "F1000000000000000003", "rows": [["0", "1"], ["-1", "0"]]}',
+                           monkeypatch=monkeypatch)
+        assert code == 0 and "all-det-one" in out
+
+
+# Strategies listed twice in one_of are drawn twice as often: entries like
+# "a/0" and well-formed JSON documents should come up in most runs.
+def _entry():
+    ratio = st.builds(lambda a, b: f"{a}/{b}", st.integers(-3, 3), st.integers(-2, 2))
+    junk = st.one_of(st.sampled_from(["nan", "inf", "1e3", " 2 ", "", "0x1"]), st.text(max_size=4),
+                     st.integers(), st.floats(), st.none(), st.booleans())
+    return st.one_of(ratio, ratio, st.integers(-10, 10).map(str), junk)
+
+
+def _documents():
+    field = st.one_of(st.just("Q"), st.sampled_from(["F3", "F5"]),
+                      st.sampled_from(["F2", "F9", "F0", "F", "Fx", "R", "F" + "9" * 40]),
+                      st.text(max_size=5))
+    square = st.integers(0, 3).flatmap(
+        lambda n: st.lists(st.lists(_entry(), min_size=n, max_size=n), min_size=n, max_size=n))
+    rows = st.one_of(square, st.lists(st.lists(_entry(), max_size=3), max_size=3))
+    json_doc = st.builds(lambda f, r: json.dumps({"field": f, "rows": r}), field, rows)
+    text_doc = st.builds(lambda head, r: head + "\n" + "\n".join(" ".join(map(str, x)) for x in r),
+                         st.one_of(st.sampled_from(["1 Q", "2 F3", "x Q"]), st.text(max_size=8)), rows)
+    return st.one_of(json_doc, json_doc, text_doc, st.text(max_size=40),
+                     st.text(max_size=40).map(lambda t: "{" + t))
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_documents())
+    @example('{"field": "Q", "rows": [["1/0"]]}')
+    @example("1 Q\n0/0")
+    def test_only_document_errors(self, text):
+        try:
+            M = parse_document(text)
+        except DocumentError:
+            return
+        assert M.is_square
 
 
 class TestDecideCommand:

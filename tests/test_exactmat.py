@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,9 @@ from isodet import (
     rank,
 )
 from isodet.blocks import gamma, jordan, direct_sum
+from isodet.exactmat import MAX_MODULUS, nullspace, rref, solve
 
-from helpers import mat
+from helpers import mat, ref_det, ref_matmul, ref_rref
 
 
 def small_entries():
@@ -53,6 +55,37 @@ class TestField:
     def test_rationals_lowest_terms(self):
         x = QQ.convert("2/4")
         assert x == Fraction(1, 2) and x.denominator == 2
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_1e5(self):
+        from math import isqrt
+
+        from isodet.exactmat import _is_prime
+
+        for n in range(10 ** 5):
+            assert _is_prime(n) == (n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))), n
+
+    def test_rejects_carmichael_and_strong_pseudoprimes(self):
+        # Carmichael numbers, then strong pseudoprimes to every prime base
+        # up to 7, and up to 23
+        for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  3215031751, 3825123056546413051):
+            with pytest.raises(FieldError):
+                Field(n)
+
+    def test_large_primes_at_once(self):
+        # trial division would need about 10^9 steps for 10^18 + 3
+        start = time.perf_counter()
+        for p in (2 ** 61 - 1, 10 ** 18 + 3, 2 ** 64 - 59):
+            assert Field(p).p == p
+        assert time.perf_counter() - start < 1.0
+
+    def test_modulus_limit(self):
+        # the limit is the least strong pseudoprime to all thirteen bases
+        for n in (MAX_MODULUS, 2 ** 89 - 1):
+            with pytest.raises(FieldError):
+                Field(n)
 
 
 class TestRank:
@@ -164,3 +197,113 @@ class TestPowerRankSequence:
         diffs = [seq[k - 1] - seq[k] for k in range(1, len(seq))]
         assert all(d >= 0 for d in diffs)
         assert all(diffs[k] >= diffs[k + 1] for k in range(len(diffs) - 1))
+
+
+# --- differential tests of the elimination kernel and the dot products -----
+
+FIELDS = [QQ, GF(3), GF(10007)]
+
+
+def entries(field):
+    if field.p is not None:
+        return st.integers(min_value=0, max_value=field.p - 1)
+    nums = st.one_of(st.integers(-4, 4), st.integers(-(2 ** 64), 2 ** 64))
+    return st.one_of(st.just(0), st.builds(Fraction, nums, st.integers(1, 97)))
+
+
+@st.composite
+def matrices(draw, field, m=None, n=None, max_dim=5):
+    """Dense, sparse or low-rank (a product through a thin middle) matrices."""
+    m = draw(st.integers(0, max_dim)) if m is None else m
+    n = draw(st.integers(0, max_dim)) if n is None else n
+    if draw(st.booleans()) and m and n:
+        k = draw(st.integers(0, min(m, n) - 1))
+        B = draw(matrices(field, m, k))
+        C = draw(matrices(field, k, n))
+        return Matrix(field, ref_matmul(B, C), ncols=n)
+    flat = draw(st.lists(entries(field), min_size=m * n, max_size=m * n))
+    return Matrix(field, [flat[i * n:(i + 1) * n] for i in range(m)], ncols=n)
+
+
+def fields_and(build):
+    return st.sampled_from(FIELDS).flatmap(build)
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(fields_and(matrices))
+    def test_rank_and_rref(self, A):
+        rows, piv = ref_rref(A)
+        R, piv2 = rref(A)
+        assert piv2 == piv and rank(A) == len(piv)
+        assert R == Matrix(A.field, rows, ncols=A.ncols)
+        assert all(type(x) is type(A.field.zero()) for r in R.rows for x in r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields_and(matrices))
+    def test_nullspace(self, A):
+        N = nullspace(A)
+        _, piv = ref_rref(A)
+        assert (N.nrows, N.ncols) == (A.ncols, A.ncols - len(piv))
+        assert all(x == 0 for r in ref_matmul(A, N) for x in r)
+        assert len(ref_rref(N)[1]) == N.ncols
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields_and(lambda f: st.tuples(matrices(f, max_dim=4), st.integers(0, 2), st.data())))
+    def test_solve(self, args):
+        A, k, data = args
+        b = data.draw(matrices(A.field, A.nrows, k))
+        X = solve(A, b)
+        _, piv = ref_rref(Matrix(A.field, [ra + rb for ra, rb in zip(A.rows, b.rows)],
+                                 ncols=A.ncols + k))
+        consistent = all(c < A.ncols for c in piv)
+        assert (X is not None) == consistent
+        if X is not None:
+            assert (X.nrows, X.ncols) == (A.ncols, k)
+            assert Matrix(A.field, ref_matmul(A, X), ncols=k) == b
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields_and(lambda f: st.integers(0, 5).flatmap(lambda n: matrices(f, n, n))))
+    def test_inverse_and_det(self, A):
+        f, n = A.field, A.nrows
+        assert det(A) == ref_det(A)
+        _, piv = ref_rref(A)
+        if len(piv) < n:
+            assert det(A) == 0
+            with pytest.raises(SingularMatrixError):
+                inverse(A)
+            return
+        aug = Matrix(f, [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(A.rows)])
+        rows, _ = ref_rref(aug)
+        assert inverse(A) == Matrix(f, [r[n:] for r in rows], ncols=n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields_and(lambda f: st.tuples(
+        st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+            lambda mkn: st.tuples(matrices(f, mkn[0], mkn[1]), matrices(f, mkn[1], mkn[2])))))
+    def test_matmul_and_apply_to_vec(self, AB):
+        A, B = AB
+        P = A * B
+        assert (P.nrows, P.ncols) == (A.nrows, B.ncols)
+        assert P == Matrix(A.field, ref_matmul(A, B), ncols=B.ncols)
+        for j in range(B.ncols):
+            assert A.apply_to_vec(B.col(j)) == P.col(j)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_empty_shapes(self, field):
+        for m, n in ((0, 0), (0, 3), (3, 0)):
+            Z = Matrix(field, [[]] * m, ncols=n) if m else Matrix(field, [], ncols=n)
+            assert (Z.nrows, Z.ncols) == (m, n)
+            assert rank(Z) == 0
+            R, piv = rref(Z)
+            assert piv == [] and R == Matrix.zeros(field, m, n)
+            N = nullspace(Z)
+            assert (N.nrows, N.ncols) == (n, n)
+            assert (Z * Matrix.zeros(field, n, 2)) == Matrix.zeros(field, m, 2)
+            assert Z.apply_to_vec([0] * n) == (0,) * m
+        E = Matrix(field, [], ncols=0)
+        assert det(E) == 1 and inverse(E) == E
+        # two equations in no unknowns: consistent exactly when b = 0
+        A = Matrix(field, [[]] * 2, ncols=0)
+        assert solve(A, Matrix.zeros(field, 2, 1)) == Matrix(field, [], ncols=1)
+        assert solve(A, Matrix(field, [[1], [0]])) is None
