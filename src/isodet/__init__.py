@@ -17,7 +17,6 @@ from .blocks import (
 )
 from .decide import (
     DecisionReport,
-    GammaExhaustedError,
     Method,
     NoOddBlockError,
     certificate_singular,
@@ -61,7 +60,7 @@ __all__ = [
     "is_cosquare_block", "jordan", "kronecker_pair_blocks", "reciprocal",
     "skew_sum", "symplectic_unit",
     "RegularizationResult", "regularize", "verify_congruence",
-    "DecisionReport", "GammaExhaustedError", "Method", "NoOddBlockError",
+    "DecisionReport", "Method", "NoOddBlockError",
     "certificate_singular", "decide", "decide_gamma_shift", "odd_unipotent_counts",
     "skew_fast_path", "verify_certificate",
     "BudgetExceededError", "BulkOracle", "IsometrySummary",

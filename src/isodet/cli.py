@@ -26,7 +26,6 @@ from .blocks import (
 )
 from .decide import (
     DecisionReport,
-    GammaExhaustedError,
     decide,
     decide_gamma_shift,
     verify_certificate,
@@ -51,6 +50,23 @@ def parse_field(tag: str) -> Field:
         return Field(int(m.group(1)))
     except ValueError as exc:  # a FieldError, or too many digits
         raise DocumentError(str(exc)) from None
+
+
+# Fraction("1e1000000") builds a 3.3-million-bit integer, and the cost grows
+# faster than the exponent: bound it by the limit Python puts on int(str).
+MAX_EXPONENT = sys.int_info.default_max_str_digits
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
+
+def check_entry(entry: str) -> str:
+    """The entry unchanged, or DocumentError if its decimal exponent
+    exceeds MAX_EXPONENT in magnitude."""
+    m = _EXPONENT.search(entry)
+    if m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise DocumentError(f"entry exponent beyond {MAX_EXPONENT}: {entry[:40]!r}")
+    return entry
 
 
 def field_tag(field: Field) -> str:
@@ -90,6 +106,9 @@ def parse_document(text: str) -> Matrix:
     n = len(str_rows)
     if any(len(r) != n for r in str_rows):
         raise DocumentError("matrix must be square")
+    for r in str_rows:
+        for x in r:
+            check_entry(x)
     try:
         return Matrix(field, str_rows)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -130,6 +149,8 @@ def _report_json(M: Matrix, rep: DecisionReport, want_cert: bool, emit_reg: bool
         "rank_sequence": list(rep.rank_sequence),
         "odd_block_counts": list(rep.odd_block_counts),
         "gamma_used": None if rep.gamma_used is None else f.to_str(rep.gamma_used),
+        "gamma_modulus": (None if rep.gamma_modulus is None
+                          else Poly(f, rep.gamma_modulus).to_str("x")),
         "certificate": None,
         "certificate_verified": None,
     }
@@ -137,7 +158,7 @@ def _report_json(M: Matrix, rep: DecisionReport, want_cert: bool, emit_reg: bool
         out["certificate"] = matrix_rows_str(rep.certificate)
         out["certificate_verified"] = verify_certificate(M, rep.certificate)
     if emit_reg:
-        reg = regularize(M)
+        reg = rep.regularization if rep.regularization is not None else regularize(M)
         canonical = reg.transform.transpose() * M * reg.transform
         out["regularization"] = {
             "transform": matrix_rows_str(reg.transform),
@@ -168,6 +189,8 @@ def _cmd_decide(args) -> int:
         print(f"odd block counts: {payload['odd_block_counts']}")
         if payload["gamma_used"] is not None:
             print(f"gamma used: {payload['gamma_used']}")
+        if payload["gamma_modulus"] is not None:
+            print(f"gamma used: x mod ({payload['gamma_modulus']})")
         if args.certificate:
             if payload["certificate"] is None:
                 print("certificate: none available on this path")
@@ -190,7 +213,7 @@ def _cmd_decide(args) -> int:
 
 
 def _parse_coeffs(field: Field, text: str) -> Poly:
-    return Poly(field, [field.convert(c) for c in text.split(",")])
+    return Poly(field, [field.convert(check_entry(c)) for c in text.split(",")])
 
 
 def _cmd_blocks(args) -> int:
@@ -200,7 +223,7 @@ def _cmd_blocks(args) -> int:
     try:
         if kind == "jordan":
             size, lam = int(params[0]), params[1]
-            M = jordan(size, field.convert(lam), field)
+            M = jordan(size, field.convert(check_entry(lam)), field)
         elif kind == "gamma":
             M = gamma(int(params[0]), field)
         elif kind == "frobenius":
@@ -295,8 +318,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (DocumentError, FieldError, BudgetExceededError,
-            GammaExhaustedError, FileNotFoundError) as exc:
+    except (DocumentError, FieldError, BudgetExceededError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,17 +8,30 @@ Two independent decision paths are provided:
   refute membership and yield a determinant -1 isometry as a certificate)
   and count odd unipotent blocks of the cosquare of the regular part via
   rank sequences.
-* `decide_gamma_shift` is the cross-check: it tests the pencil (M^T, M) for
-  singularity and otherwise reads the same block counts off a shifted
-  inverse, picking gamma with det(M^T + gamma*M) != 0.
+* `decide_gamma_shift` is the cross-check: it evaluates the pencil
+  determinant D(t) = det(M^T + t*M) at points, one elimination each, until
+  a nonzero value gives the shift gamma or enough zeros prove D = 0;
+  it then reads the same block counts off a shifted inverse.  Over a small
+  F_p the points run on into F_{p^k}, realised as F_p matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count, product
 
-from .exactmat import Matrix, det, det_poly, inverse, power_rank_sequence, rank
+from .blocks import PolySpec, frobenius, reciprocal
+from .exactmat import (
+    Field,
+    Matrix,
+    Poly,
+    det,
+    inverse,
+    power_rank_sequence,
+    rank,
+    solve,
+)
 from .regularize import RegularizationResult, regularize
 
 
@@ -26,10 +39,6 @@ class Method(Enum):
     SKEW_FAST_PATH = "skew-fast-path"
     REGULARIZE = "regularize"
     GAMMA_SHIFT = "gamma-shift"
-
-
-class GammaExhaustedError(RuntimeError):
-    """No usable shift parameter exists in a small finite field."""
 
 
 class NoOddBlockError(ValueError):
@@ -44,6 +53,12 @@ class DecisionReport:
     determinant one.  `odd_block_counts[k]` counts Jordan blocks of size
     2k+1 and eigenvalue 1 in the cosquare of the regular part; a nonzero
     entry or an odd singular size refutes membership.
+
+    The gamma route shifts by `gamma_used` when it is a field element, and
+    otherwise by x mod g in F_p[x]/(g), with `gamma_modulus` the ascending
+    coefficients of the monic irreducible g.  `regularization` is the
+    regularization route's own result, kept for callers and left out of
+    comparisons.
     """
 
     all_det_one: bool
@@ -52,7 +67,9 @@ class DecisionReport:
     rank_sequence: tuple[int, ...]
     odd_block_counts: tuple[int, ...]
     gamma_used: object | None = None
+    gamma_modulus: tuple | None = None
     certificate: Matrix | None = None
+    regularization: RegularizationResult | None = field(default=None, compare=False, repr=False)
 
 
 def skew_fast_path(M: Matrix) -> bool:
@@ -153,30 +170,89 @@ def decide(M: Matrix, use_fast_path: bool = True) -> DecisionReport:
         rank_sequence=r_seq,
         odd_block_counts=counts,
         certificate=certificate,
+        regularization=reg,
     )
 
 
-def _gamma_candidates(f, n: int):
+def _kron(A: Matrix, C: Matrix) -> Matrix:
+    """The Kronecker product A ⊗ C: block (i, j) is A_ij·C."""
+    p = A.field.p
+    rows = [[a * c for a in arow for c in crow] for arow in A.rows for crow in C.rows]
+    if p is not None:
+        rows = [[x % p for x in row] for row in rows]
+    return Matrix._of(A.field, rows, A.ncols * C.ncols)
+
+
+def _divides(h: Poly, g: Poly) -> bool:
+    try:
+        g.divexact(h)
+    except ValueError:
+        return False
+    return True
+
+
+def _irreducibles(f: Field):
+    """Monic irreducible polynomials: x - 0, x - 1, x - 2, ... over Q; over
+    F_p the p linear ones by constant, then degree 2, 3, ..., each degree in
+    lexicographic order of its coefficients from the top."""
     if f.is_rational:
-        # at most n values can make det(M^T + gamma*M) vanish
-        for k in range(n + 2):
-            yield f.convert(k)
-    else:
-        minus_one = f.neg(f.one())
-        for k in range(f.p):
-            g = f.convert(k)
-            if g != minus_one:
+        for a in count():
+            yield Poly(f, [-a, 1])
+    p = f.p
+    for a in range(p):
+        yield Poly(f, [-a, 1])
+    found = [Poly(f, [-a, 1]) for a in range(p)]
+    for k in count(2):
+        for top in product(range(p), repeat=k):
+            g = Poly(f, top[::-1] + (1,))
+            if not any(_divides(h, g) for h in found if 2 * h.degree <= k):
+                found.append(g)
                 yield g
+
+
+def _pencil_points(f: Field):
+    """The g of `_irreducibles` at whose x mod g the gamma route evaluates
+    D(t) = det(M^T + t*M), each with the degree of the factor of D that a
+    zero there proves, and whether the point may serve as the shift (not
+    -1, since 1 + gamma must be invertible).
+
+    D(t) = t^n D(1/t), so a zero at alpha != 0 brings one at 1/alpha: g | D
+    implies g* | D for the reciprocal g*, and t | D forces deg D < n (a zero
+    at infinity).  A point whose reciprocal came earlier is skipped: D
+    vanishes there too, and that factor is counted already.
+    """
+    minus_one = Poly(f, [1, 1])
+    seen = set()
+    for g in _irreducibles(f):
+        if f.is_zero(g.constant()):
+            weight = 2
+        else:
+            r = reciprocal(g)
+            if r.coeffs in seen:
+                continue
+            weight = g.degree if r == g else 2 * g.degree
+        seen.add(g.coeffs)
+        yield g, weight, g != minus_one
 
 
 def decide_gamma_shift(M: Matrix) -> DecisionReport:
     """Independent decision via the pencil (M^T, M).
 
-    A vanishing pencil determinant means an odd singular block exists and
-    membership fails outright.  Otherwise pick gamma != -1 making
-    N := (M^T + gamma*M)^{-1} M well defined; odd unipotent blocks of the
-    cosquare of the regular part reappear as odd Jordan blocks of N at
-    eigenvalue (1+gamma)^{-1}, so the same rank-sequence count applies.
+    D(t) = det(M^T + t*M) has degree at most n, and it vanishes identically
+    exactly when an odd singular block exists, which refutes membership.
+    The route evaluates D at x mod g for the monic irreducible g of
+    `_pencil_points`: over F_{p^k} = F_p[x]/(g) the matrix M^T + alpha*M is
+    realised as the nk x nk F_p matrix M^T ⊗ I_k + M ⊗ C_g (C_g the
+    companion matrix of g), whose F_p-rank is k times its rank over
+    F_{p^k}.  A singular value means g divides D; the factors so found are
+    coprime, so once their degrees (the weights of `_pencil_points`) add up
+    to more than n, D = 0.  The first usable nonsingular point is the shift
+    gamma: N := (M^T + gamma*M)^{-1} M is then well defined, and odd
+    unipotent blocks of the cosquare of the regular part reappear as odd
+    Jordan blocks of N at eigenvalue mu = (1+gamma)^{-1}, so the rank
+    sequence of N - mu*I (divided by k) gives the same counts.  It is read
+    off (M^T + gamma*M)^{-1} (M - M^T) = (1+gamma)(N - mu*I), which has the
+    same ranks and costs one solve.
     """
     if not M.is_square:
         raise ValueError("square matrix required")
@@ -185,21 +261,20 @@ def decide_gamma_shift(M: Matrix) -> DecisionReport:
     if n == 0:
         return DecisionReport(True, Method.GAMMA_SHIFT, (), (), ())
     MT = M.transpose()
-    pencil = det_poly(MT, M)
-    if pencil.is_zero():
-        return DecisionReport(False, Method.GAMMA_SHIFT, (), (), ())
-    gamma = None
-    for g in _gamma_candidates(f, n):
-        if not f.is_zero(pencil.eval(g)):
-            gamma = g
+    roots = 0  # weights of the zeros found; D = 0 once they exceed n
+    for g, weight, usable in _pencil_points(f):
+        k = g.degree
+        C = frobenius(PolySpec(g, 1))
+        I = Matrix.identity(f, k)
+        shifted = _kron(MT, I) + _kron(M, C)  # M^T + alpha*M
+        if rank(shifted) < n * k:
+            roots += weight
+            if roots > n:
+                return DecisionReport(False, Method.GAMMA_SHIFT, (), (), ())
+        elif usable:
             break
-    if gamma is None:
-        raise GammaExhaustedError(
-            f"every usable shift in {f!r} makes the pencil singular"
-        )
-    N = inverse(MT + M.scale(gamma)) * M
-    mu = f.inv(f.add(f.one(), gamma))
-    r = power_rank_sequence(N, mu, n + 1)
+    P = solve(shifted, _kron(M - MT, I))
+    r = [x // k for x in power_rank_sequence(P, f.zero(), n + 1)]
     counts = _block_counts(r, (n - 1) // 2)
     ok = all(c == 0 for c in counts)
     return DecisionReport(
@@ -208,5 +283,6 @@ def decide_gamma_shift(M: Matrix) -> DecisionReport:
         singular_sizes=(),
         rank_sequence=tuple(r),
         odd_block_counts=counts,
-        gamma_used=gamma,
+        gamma_used=C[0, 0] if k == 1 else None,
+        gamma_modulus=g.coeffs if k > 1 else None,
     )

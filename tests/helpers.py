@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from isodet import GF, QQ, Matrix
+from isodet import GF, QQ, DecisionReport, Matrix, Method, det_poly, inverse, power_rank_sequence
 from isodet.exactmat import hstack, nullspace, rank, rref
 
 
@@ -140,3 +140,30 @@ def ref_matmul(A: Matrix, B: Matrix):
             line.append(s)
         out.append(line)
     return out
+
+
+# --- reference for the gamma route's shift choice -----------------------------
+
+
+def ref_gamma_shift(M: Matrix):
+    """The gamma route as it stood with the symbolic pencil determinant: D(t)
+    by det_poly, gamma the first of 0, 1, ..., n+1 (Q) or 0 .. p-2 (F_p) with
+    D(gamma) != 0.  None when D is nonzero but has no such base-field root."""
+    f = M.field
+    n = M.nrows
+    if n == 0:
+        return DecisionReport(True, Method.GAMMA_SHIFT, (), (), ())
+    MT = M.transpose()
+    pencil = det_poly(MT, M)
+    if pencil.is_zero():
+        return DecisionReport(False, Method.GAMMA_SHIFT, (), (), ())
+    candidates = range(n + 2) if f.is_rational else range(f.p - 1)
+    gamma = next((f.convert(g) for g in candidates if pencil.eval(g) != 0), None)
+    if gamma is None:
+        return None
+    N = inverse(MT + M.scale(gamma)) * M
+    mu = f.inv(f.add(f.one(), gamma))
+    r = power_rank_sequence(N, mu, n + 1)
+    counts = tuple(r[2 * k] - 2 * r[2 * k + 1] + r[2 * k + 2] for k in range((n + 1) // 2))
+    return DecisionReport(all(c == 0 for c in counts), Method.GAMMA_SHIFT, (), tuple(r), counts,
+                          gamma_used=gamma)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isodet.cli import DocumentError, main, parse_document, print_document
-from isodet import GF, QQ, Matrix
+from isodet import GF, QQ, Matrix, regularize
 
 
 Z2_DOC = '{"field": "Q", "rows": [["0", "1"], ["-1", "0"]]}'
@@ -74,6 +75,22 @@ class TestParsing:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and "error" in proc.stderr
 
+    @pytest.mark.parametrize("entry", ["1e1000000", "1e-1000000", "1E4301", "1e0_4_3_0_1"])
+    def test_huge_exponent_exits_two_fast(self, entry):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        doc = json.dumps({"field": "Q", "rows": [[entry]]})
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "isodet.cli", "decide", "-"], input=doc,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "exponent" in proc.stderr
+
+    def test_small_exponents_parse(self):
+        M = parse_document('{"field": "Q", "rows": [["1e3", "2.5e-2"], ["1E4300", "0e0"]]}')
+        assert M[0, 0] == 1000 and M[0, 1] * 40 == 1 and M[1, 0] == 10 ** 4300
+
     def test_large_prime_modulus(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["decide", "-"],
                            stdin='{"field": "F1000000000000000003", "rows": [["0", "1"], ["-1", "0"]]}',
@@ -134,7 +151,7 @@ class TestDecideCommand:
         doc = json.loads(out)
         for key in ("verdict", "all_det_one", "method", "field", "size",
                     "singular_sizes", "rank_sequence", "odd_block_counts",
-                    "gamma_used", "certificate", "certificate_verified"):
+                    "gamma_used", "gamma_modulus", "certificate", "certificate_verified"):
             assert key in doc
         assert doc["certificate"] == [["-1"]]
         assert doc["certificate_verified"] is True
@@ -146,6 +163,36 @@ class TestDecideCommand:
         doc = json.loads(out)
         assert doc["method"] == "gamma-shift"
         assert doc["gamma_used"] == "0"
+
+    def test_gamma_shift_extension_point(self, capsys, monkeypatch):
+        # J_2(0) + [[0, 1], [2, 0]] over F_3: D(t) vanishes on all of F_3
+        doc = '{"field": "F3", "rows": [["0","0","0","0"],["1","0","0","0"],' \
+              '["0","0","0","1"],["0","0","2","0"]]}'
+        code, out, _ = run(capsys, ["decide", "-", "--method", "gamma-shift", "--json"],
+                           stdin=doc, monkeypatch=monkeypatch)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["gamma_used"] is None and doc["gamma_modulus"] == "x^2 + 1"
+
+    @pytest.mark.parametrize("method", ["auto", "gamma-shift"])
+    def test_regularization_json_for_both_methods(self, capsys, monkeypatch, method):
+        rows = [["1", "2", "0"], ["0", "0", "0"], ["3", "0", "0"]]
+        if method == "auto":
+            # decide's report carries its regularization; the CLI reuses it
+            import isodet.cli
+            monkeypatch.setattr(isodet.cli, "regularize",
+                                lambda M: pytest.fail("regularized a second time"))
+        code, out, _ = run(capsys, ["decide", "-", "--json", "--emit-regularization",
+                                    "--method", method],
+                           stdin=json.dumps({"field": "Q", "rows": rows}), monkeypatch=monkeypatch)
+        M = Matrix(QQ, rows)
+        reg = regularize(M)
+        assert json.loads(out)["regularization"] == {
+            "transform": [[str(x) for x in r] for r in reg.transform.rows],
+            "regular_part": [[str(x) for x in r] for r in reg.regular_part.rows],
+            "singular_sizes": list(reg.singular_sizes),
+            "verified": True,
+        }
 
     def test_emit_regularization(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["decide", "-", "--emit-regularization", "--json"],

@@ -13,6 +13,7 @@ from isodet import (
     certificate_singular,
     decide,
     decide_gamma_shift,
+    det_poly,
     direct_sum,
     frobenius,
     gamma,
@@ -25,7 +26,7 @@ from isodet import (
     verify_certificate,
 )
 
-from helpers import mat, random_nonsingular, random_rational
+from helpers import mat, random_nonsingular, random_rational, ref_gamma_shift
 
 
 class TestDecideExamples:
@@ -131,16 +132,121 @@ class TestGammaShift:
             M = random_rational(rng, n, 3)
             assert decide(M).all_det_one == decide_gamma_shift(M).all_det_one
 
-    def test_exhaustion_over_f3(self):
-        # pencil roots cover every usable shift of F_3, yet the matrix is a
-        # member; the regularization route stays available as the fallback
-        from isodet import GammaExhaustedError
-
+    def test_extension_shift_over_f3(self):
+        # the pencil vanishes at 0, 1 and -1, every point of F_3, yet is not
+        # identically zero: the shift comes from F_9 = F_3[x]/(x^2 + 1)
         f = GF(3)
         M = direct_sum([jordan(2, 0, f), Matrix(f, [[0, 1], [2, 0]])])
-        with pytest.raises(GammaExhaustedError):
-            decide_gamma_shift(M)
-        assert decide(M).all_det_one
+        rep = decide_gamma_shift(M)
+        assert rep.gamma_used is None and rep.gamma_modulus == (1, 0, 1)
+        assert rep.all_det_one == decide(M).all_det_one is True
+
+
+def _random_fp(rng, n, p):
+    return Matrix(GF(p), [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+
+
+def _low_rank(rng, n, f, bound=2):
+    k = rng.randrange(1, n)
+    entry = (lambda: rng.randrange(f.p)) if f.p else (lambda: rng.randint(-bound, bound))
+    A = Matrix(f, [[entry() for _ in range(k)] for _ in range(n)])
+    B = Matrix(f, [[entry() for _ in range(n)] for _ in range(k)])
+    return A * B
+
+
+class TestGammaRoute:
+    """The gamma route by point evaluation against the symbolic pencil
+    determinant (`helpers.ref_gamma_shift`) and against `decide`."""
+
+    def test_reports_match_symbolic_route(self):
+        rng = random.Random(61)
+        cases = []
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            cases.append(random_rational(rng, n, 3) if rng.random() < 0.6
+                         else _low_rank(rng, max(n, 2), QQ))
+        for p, sizes in ((7, (2, 3, 4, 6, 8)), (10007, (3, 5, 8, 12))):
+            for _ in range(60):
+                n = rng.choice(sizes)
+                cases.append(_random_fp(rng, n, p) if rng.random() < 0.6
+                             else _low_rank(rng, n, GF(p)))
+        compared = zero = 0
+        for M in cases:
+            ref = ref_gamma_shift(M)
+            if ref is None:
+                continue
+            assert decide_gamma_shift(M) == ref, M
+            compared += 1
+            zero += ref.rank_sequence == ()
+        assert compared > 250 and zero > 30
+
+    def test_total_over_f3(self):
+        # with a regular pencil the counts match decide's, whatever the shift
+        rng = random.Random(67)
+        extended = 0
+        for n, trials in ((2, 200), (3, 500), (4, 2000), (5, 500)):
+            for _ in range(trials):
+                M = _random_fp(rng, n, 3)
+                rep, ref = decide_gamma_shift(M), decide(M)
+                assert rep.all_det_one == ref.all_det_one, M
+                if rep.rank_sequence:
+                    assert rep.rank_sequence[0] == n
+                    assert rep.odd_block_counts == ref.odd_block_counts, M
+                if n == 4:
+                    extended += rep.gamma_modulus is not None
+        assert extended >= 150
+
+    @pytest.mark.parametrize("p,n", [(3, 6), (3, 8), (7, 10)])
+    def test_no_shift_iff_zero_pencil(self, p, n):
+        rng = random.Random(71 + n)
+        f = GF(p)
+        zero = 0
+        for _ in range(40):
+            M = _low_rank(rng, n, f)
+            rep = decide_gamma_shift(M)
+            no_shift = rep.gamma_used is None and rep.gamma_modulus is None
+            assert no_shift == det_poly(M.transpose(), M).is_zero(), M
+            assert rep.all_det_one == decide(M).all_det_one
+            zero += no_shift
+        assert 0 < zero < 40
+
+    def test_pencil_determinant_is_palindromic(self):
+        # D(t) = t^n D(1/t): the reason a zero at x mod g also counts one at
+        # the reciprocal of g, and a zero at 0 one at infinity
+        rng = random.Random(73)
+        for f in (QQ, GF(3), GF(7)):
+            for _ in range(40):
+                n = rng.randint(2, 6)
+                if rng.random() < 0.3:
+                    M = _low_rank(rng, n, f)
+                else:
+                    M = random_rational(rng, n, 3) if f.p is None else _random_fp(rng, n, f.p)
+                d = list(det_poly(M.transpose(), M).coeffs)
+                d += [0] * (n + 1 - len(d))
+                assert d == d[::-1], M
+
+    @pytest.mark.parametrize("p,expected", [
+        (3, [((0, 1), 2, True), ((2, 1), 1, True), ((1, 1), 1, False), ((1, 0, 1), 2, True),
+             ((2, 1, 1), 4, True), ((1, 2, 0, 1), 6, True)]),
+        (7, [((0, 1), 2, True), ((6, 1), 1, True), ((5, 1), 2, True), ((4, 1), 2, True),
+             ((1, 1), 1, False), ((1, 0, 1), 2, True)]),
+    ])
+    def test_point_schedule(self, p, expected):
+        # F_3: x^2 + 2x + 2, the reciprocal of x^2 + x + 2, is skipped; the
+        # first cubic is x^3 + 2x + 1.  F_7: 1/2 = 4 and 1/3 = 5 are skipped
+        from isodet.decide import _pencil_points
+
+        points = _pencil_points(GF(p))
+        got = [(g.coeffs, w, usable) for (g, w, usable), _ in zip(points, expected)]
+        assert got == expected
+
+    def test_extension_degrees_add_up(self):
+        # a zero pencil at n = 8 over F_3: the zeros at 0, 1 and -1 weigh 4,
+        # so the proof needs x^2 + 1 (2) and x^2 + x + 2 with its reciprocal (4)
+        f = GF(3)
+        M = direct_sum([jordan(1, 0, f), Matrix.identity(f, 7)])
+        rep = decide_gamma_shift(M)
+        assert not rep.all_det_one and rep.rank_sequence == ()
 
 
 class TestCertificates:
