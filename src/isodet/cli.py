@@ -4,7 +4,8 @@ block generation and brute-force oracle runs.
 Matrix documents are JSON objects {"field": "Q"|"F3"|..., "rows": [["0","1"],
 ...]} with entries kept as strings so rationals stay exact; a whitespace text
 form (first line "n field", then n rows) is accepted too.  Exit codes: 0 when
-every isometry has determinant one, 1 when not, 2 on usage or input errors.
+every isometry has determinant one, 1 when not, 2 on usage, input or output
+errors (an output entry too long to print).
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from .regularize import regularize, verify_congruence
 
 class DocumentError(ValueError):
     pass
+
+
+class OutputError(ValueError):
+    """An output entry too long to render as a decimal string."""
 
 
 def parse_field(tag: str) -> Field:
@@ -116,18 +121,21 @@ def parse_document(text: str) -> Matrix:
 
 
 def matrix_rows_str(M: Matrix) -> list[list[str]]:
-    return [[M.field.to_str(x) for x in row] for row in M.rows]
+    try:
+        return [[M.field.to_str(x) for x in row] for row in M.rows]
+    except ValueError as exc:  # str(int) refuses more than 4300 digits
+        raise OutputError(f"{M.nrows}x{M.ncols} matrix: {exc}") from None
 
 
 def print_document(M: Matrix, as_text: bool = False, out=None) -> None:
     out = out or sys.stdout
+    rows = matrix_rows_str(M)
     if as_text:
         print(f"{M.nrows} {field_tag(M.field)}", file=out)
-        for row in matrix_rows_str(M):
+        for row in rows:
             print(" ".join(row), file=out)
     else:
-        doc = {"field": field_tag(M.field), "rows": matrix_rows_str(M)}
-        print(json.dumps(doc), file=out)
+        print(json.dumps({"field": field_tag(M.field), "rows": rows}), file=out)
 
 
 def _read_input(path: str) -> str:
@@ -159,7 +167,8 @@ def _report_json(M: Matrix, rep: DecisionReport, want_cert: bool, emit_reg: bool
         out["certificate_verified"] = verify_certificate(M, rep.certificate)
     if emit_reg:
         reg = rep.regularization if rep.regularization is not None else regularize(M)
-        canonical = reg.transform.transpose() * M * reg.transform
+        canonical = direct_sum([reg.regular_part] + [jordan(s, 0, f) for s in reg.singular_sizes],
+                               field=f)
         out["regularization"] = {
             "transform": matrix_rows_str(reg.transform),
             "regular_part": matrix_rows_str(reg.regular_part),
@@ -171,12 +180,7 @@ def _report_json(M: Matrix, rep: DecisionReport, want_cert: bool, emit_reg: bool
 
 def _cmd_decide(args) -> int:
     M = parse_document(_read_input(args.matrix))
-    if args.method == "gamma-shift":
-        rep = decide_gamma_shift(M)
-    elif args.method == "regularize":
-        rep = decide(M, use_fast_path=False)
-    else:
-        rep = decide(M)
+    rep = decide_gamma_shift(M) if args.method == "gamma-shift" else decide(M)
     payload = _report_json(M, rep, args.certificate, args.emit_regularization)
     if args.json:
         print(json.dumps(payload))
@@ -282,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decide", help="run the decision procedure on a matrix document")
     d.add_argument("matrix", help="path to a matrix document, or - for stdin")
-    d.add_argument("--method", choices=["auto", "regularize", "gamma-shift"], default="auto")
+    d.add_argument("--method", choices=["regularize", "gamma-shift"], default="regularize")
     d.add_argument("--certificate", action="store_true",
                    help="print a determinant -1 isometry when one is constructed")
     d.add_argument("--emit-regularization", action="store_true",
@@ -318,7 +322,8 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (DocumentError, FieldError, BudgetExceededError, FileNotFoundError) as exc:
+    except (DocumentError, OutputError, FieldError, BudgetExceededError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,15 +3,14 @@ determinant one.
 
 Two independent decision paths are provided:
 
-* `decide` follows the regularization route: a fast accept when M - M^T is
-  nonsingular, otherwise split off the singular Jordan blocks (odd sizes
-  refute membership and yield a determinant -1 isometry as a certificate)
-  and count odd unipotent blocks of the cosquare of the regular part via
-  rank sequences.
+* `decide` follows the regularization route: split off the singular Jordan
+  blocks (odd sizes refute membership and yield a determinant -1 isometry
+  as a certificate) and count odd unipotent blocks of the cosquare of the
+  regular part via rank sequences.
 * `decide_gamma_shift` is the cross-check: it evaluates the pencil
   determinant D(t) = det(M^T + t*M) at points, one elimination each, until
   a nonzero value gives the shift gamma or enough zeros prove D = 0;
-  it then reads the same block counts off a shifted inverse.  Over a small
+  it then reads the same block counts off the shifted pencil.  Over a small
   F_p the points run on into F_{p^k}, realised as F_p matrices.
 """
 
@@ -26,17 +25,18 @@ from .exactmat import (
     Field,
     Matrix,
     Poly,
+    SingularMatrixError,
     det,
+    hstack,
     inverse,
     power_rank_sequence,
     rank,
-    solve,
+    rref,
 )
 from .regularize import RegularizationResult, regularize
 
 
 class Method(Enum):
-    SKEW_FAST_PATH = "skew-fast-path"
     REGULARIZE = "regularize"
     GAMMA_SHIFT = "gamma-shift"
 
@@ -85,13 +85,25 @@ def odd_unipotent_counts(B: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     blocks of the cosquare.  B must be nonsingular (0x0 allowed)."""
     if not B.is_square:
         raise ValueError("square matrix required")
-    f = B.field
-    b = B.nrows
-    if b == 0:
+    if B.nrows == 0:
         return (0,), ()
-    cosquare = inverse(B.transpose()) * B
-    r = power_rank_sequence(cosquare, f.one(), b + 1)
-    return tuple(r), _block_counts(r, (b - 1) // 2)
+    BT = B.transpose()
+    # B^{-T}(B - B^T) = B^{-T}B - I: no inverse, no cosquare product
+    return _count_step(BT, B - BT, 1, "odd_unipotent_counts")
+
+
+def _count_step(A: Matrix, C: Matrix, k: int, stage: str):
+    """The rank sequence of P = A^{-1} C, each rank divided by k, and its
+    counts c_0 .. c_{(n-1)//2} for n = size/k; A must be nonsingular.  P is
+    read off one elimination of [A | C], which also shows whether A is."""
+    m = A.nrows
+    n = m // k
+    R, piv = rref(hstack(A, C))
+    if piv[:m] != list(range(m)):
+        raise SingularMatrixError(f"{stage}: singular {m}x{m} matrix")
+    P = R.submatrix(range(m), range(m, m + C.ncols))
+    r = [x // k for x in power_rank_sequence(P, A.field.zero(), n + 1)]
+    return tuple(r), _block_counts(r, (n - 1) // 2)
 
 
 def _block_counts(r: list[int], kmax: int) -> tuple[int, ...]:
@@ -107,24 +119,19 @@ def certificate_singular(M: Matrix, reg: RegularizationResult) -> Matrix:
     back through the regularizing transform."""
     f = M.field
     n = M.nrows
-    sizes = reg.singular_sizes
-    b = reg.regular_part.nrows
-    offset = b
-    start = None
-    for s in sizes:
+    offset = reg.regular_part.nrows
+    for s in reg.singular_sizes:
         if s % 2 == 1:
             start, width = offset, s
             break
         offset += s
     else:
         raise NoOddBlockError("no odd singular block to build a certificate from")
-    diag = []
-    for i in range(n):
-        one = f.one()
-        diag.append(f.neg(one) if start <= i < start + width else one)
-    D = Matrix(f, [[diag[i] if i == j else f.zero() for j in range(n)] for i in range(n)])
+    # S·D with D = diag(..., -1 on the block, ...) negates the block's columns
     S = reg.transform
-    return S * D * inverse(S)
+    end = start + width
+    SD = Matrix._of(f, [r[:start] + tuple(map(f.neg, r[start:end])) + r[end:] for r in S.rows], n)
+    return SD * inverse(S)
 
 
 def verify_certificate(M: Matrix, S: Matrix) -> bool:
@@ -136,18 +143,14 @@ def verify_certificate(M: Matrix, S: Matrix) -> bool:
     return det(S) == M.field.convert(-1)
 
 
-def decide(M: Matrix, use_fast_path: bool = True) -> DecisionReport:
-    """Full decision via the regularization route.
-
-    The skew fast path only selects the reported method; the report always
-    carries the regularization invariants, which are cheap at this scale
-    and let callers see the singular sizes and block counts in every case.
+def decide(M: Matrix) -> DecisionReport:
+    """Full decision via the regularization route.  The report carries the
+    singular sizes, the rank sequence and the odd-block counts; a refusal is
+    checked against the theorem that a nonsingular M - M^T forces membership.
     """
     if not M.is_square:
         raise ValueError("square matrix required")
     n = M.nrows
-    fast = n == 0 or (use_fast_path and skew_fast_path(M))
-
     reg = regularize(M)
     sizes = reg.singular_sizes
     odd_singular = any(s % 2 == 1 for s in sizes)
@@ -156,28 +159,26 @@ def decide(M: Matrix, use_fast_path: bool = True) -> DecisionReport:
     counts = _block_counts(r_seq, (n - 1) // 2)
     ok = not odd_singular and all(c == 0 for c in counts)
 
-    if fast and not ok:
+    if not ok and skew_fast_path(M):
         raise AssertionError("skew fast path contradicts the block counts")
-
-    certificate = None
-    if odd_singular:
-        certificate = certificate_singular(M, reg)
 
     return DecisionReport(
         all_det_one=ok,
-        method=Method.SKEW_FAST_PATH if fast else Method.REGULARIZE,
+        method=Method.REGULARIZE,
         singular_sizes=sizes,
         rank_sequence=r_seq,
         odd_block_counts=counts,
-        certificate=certificate,
+        certificate=certificate_singular(M, reg) if odd_singular else None,
         regularization=reg,
     )
 
 
-def _kron(A: Matrix, C: Matrix) -> Matrix:
-    """The Kronecker product A ⊗ C: block (i, j) is A_ij·C."""
+def _pencil_at(A: Matrix, B: Matrix, C: Matrix) -> Matrix:
+    """A ⊗ I_k + B ⊗ C for a k x k matrix C, written out row by row: the
+    pencil A + alpha*B at the point alpha that C represents."""
     p = A.field.p
-    rows = [[a * c for a in arow for c in crow] for arow in A.rows for crow in C.rows]
+    rows = [[b * c + a if i == j else b * c for a, b in zip(arow, brow) for j, c in enumerate(crow)]
+            for arow, brow in zip(A.rows, B.rows) for i, crow in enumerate(C.rows)]
     if p is not None:
         rows = [[x % p for x in row] for row in rows]
     return Matrix._of(A.field, rows, A.ncols * C.ncols)
@@ -252,7 +253,7 @@ def decide_gamma_shift(M: Matrix) -> DecisionReport:
     Jordan blocks of N at eigenvalue mu = (1+gamma)^{-1}, so the rank
     sequence of N - mu*I (divided by k) gives the same counts.  It is read
     off (M^T + gamma*M)^{-1} (M - M^T) = (1+gamma)(N - mu*I), which has the
-    same ranks and costs one solve.
+    same ranks, by `_count_step`.
     """
     if not M.is_square:
         raise ValueError("square matrix required")
@@ -265,23 +266,21 @@ def decide_gamma_shift(M: Matrix) -> DecisionReport:
     for g, weight, usable in _pencil_points(f):
         k = g.degree
         C = frobenius(PolySpec(g, 1))
-        I = Matrix.identity(f, k)
-        shifted = _kron(MT, I) + _kron(M, C)  # M^T + alpha*M
+        shifted = _pencil_at(MT, M, C)  # M^T + alpha*M
         if rank(shifted) < n * k:
             roots += weight
             if roots > n:
                 return DecisionReport(False, Method.GAMMA_SHIFT, (), (), ())
         elif usable:
             break
-    P = solve(shifted, _kron(M - MT, I))
-    r = [x // k for x in power_rank_sequence(P, f.zero(), n + 1)]
-    counts = _block_counts(r, (n - 1) // 2)
-    ok = all(c == 0 for c in counts)
+    # (M - M^T) ⊗ I_k, through the same realisation with C = 0
+    rhs = _pencil_at(M - MT, M, Matrix.zeros(f, k, k))
+    r, counts = _count_step(shifted, rhs, k, "decide_gamma_shift")
     return DecisionReport(
-        all_det_one=ok,
+        all_det_one=all(c == 0 for c in counts),
         method=Method.GAMMA_SHIFT,
         singular_sizes=(),
-        rank_sequence=tuple(r),
+        rank_sequence=r,
         odd_block_counts=counts,
         gamma_used=C[0, 0] if k == 1 else None,
         gamma_modulus=g.coeffs if k > 1 else None,

@@ -539,11 +539,6 @@ class Poly:
             acc = f.add(f.mul(acc, c), a)
         return acc
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            raise ValueError("cannot normalize the zero polynomial")
-        return self.scale(self.field.inv(self.leading()))
-
     def divexact(self, other: "Poly") -> "Poly":
         """Quotient self/other when the division is exact; ValueError otherwise."""
         f = self.field
@@ -631,7 +626,8 @@ def power_rank_sequence(A: Matrix, mu, kmax: int) -> list[int]:
         raise ValueError("kmax must be >= 0")
     f = A.field
     n = A.nrows
-    P = A - Matrix.identity(f, n).scale(mu)
+    mu = f.convert(mu)
+    P = Matrix._of(f, [r[:i] + (f.sub(r[i], mu),) + r[i + 1:] for i, r in enumerate(A.rows)], n)
     seq = [n]
     cur: Matrix | None = None
     for _ in range(kmax):

@@ -167,3 +167,16 @@ def ref_gamma_shift(M: Matrix):
     counts = tuple(r[2 * k] - 2 * r[2 * k + 1] + r[2 * k + 2] for k in range((n + 1) // 2))
     return DecisionReport(all(c == 0 for c in counts), Method.GAMMA_SHIFT, (), tuple(r), counts,
                           gamma_used=gamma)
+
+
+# --- reference for the odd-block count step -------------------------------------
+
+
+def ref_odd_unipotent_counts(B: Matrix):
+    """The cosquare formula: the rank sequence of B^{-T}B - I, built with
+    inverse and a product, and c_k = r_{2k} - 2 r_{2k+1} + r_{2k+2}."""
+    b = B.nrows
+    if b == 0:
+        return (0,), ()
+    r = power_rank_sequence(inverse(B.transpose()) * B, 1, b + 1)
+    return tuple(r), tuple(r[2 * k] - 2 * r[2 * k + 1] + r[2 * k + 2] for k in range((b + 1) // 2))

@@ -138,7 +138,7 @@ class TestDecideCommand:
     def test_member_exit_zero(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["decide", "-"], stdin=Z2_DOC, monkeypatch=monkeypatch)
         assert code == 0
-        assert "skew-fast-path" in out
+        assert "method: regularize" in out
 
     def test_nonmember_exit_one(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["decide", "-"], stdin=I2_DOC, monkeypatch=monkeypatch)
@@ -174,10 +174,10 @@ class TestDecideCommand:
         doc = json.loads(out)
         assert doc["gamma_used"] is None and doc["gamma_modulus"] == "x^2 + 1"
 
-    @pytest.mark.parametrize("method", ["auto", "gamma-shift"])
+    @pytest.mark.parametrize("method", ["regularize", "gamma-shift"])
     def test_regularization_json_for_both_methods(self, capsys, monkeypatch, method):
         rows = [["1", "2", "0"], ["0", "0", "0"], ["3", "0", "0"]]
-        if method == "auto":
+        if method == "regularize":
             # decide's report carries its regularization; the CLI reuses it
             import isodet.cli
             monkeypatch.setattr(isodet.cli, "regularize",
@@ -202,6 +202,47 @@ class TestDecideCommand:
         doc = json.loads(out)
         assert doc["regularization"]["singular_sizes"] == [2]
         assert doc["regularization"]["verified"] is True
+
+
+    def test_verified_checks_the_reported_form(self, capsys, monkeypatch):
+        # "verified" compares S^T M S with the reported regular part plus
+        # singular blocks, so a wrong regular part must read false
+        import dataclasses
+
+        import isodet.cli
+        from isodet import decide
+
+        def wrong_regular_part(M):
+            rep = decide(M)
+            bad = dataclasses.replace(rep.regularization,
+                                      regular_part=rep.regularization.regular_part.scale(2))
+            return dataclasses.replace(rep, regularization=bad)
+
+        monkeypatch.setattr(isodet.cli, "decide", wrong_regular_part)
+        code, out, _ = run(capsys, ["decide", "-", "--emit-regularization", "--json"],
+                           stdin='{"field": "Q", "rows": [["1", "0"], ["0", "0"]]}',
+                           monkeypatch=monkeypatch)
+        assert json.loads(out)["regularization"]["verified"] is False
+
+    def test_auto_method_rejected(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, ["decide", "-", "--method", "auto"], stdin=Z2_DOC,
+                           monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_long_output_entry_exits_two(self, flags):
+        # the regular part of [[10^4300]] has 4301 digits, beyond int -> str
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        doc = json.dumps({"field": "Q", "rows": [["1E4300"]]})
+        argv = [sys.executable, "-m", "isodet.cli", "decide", "-", *flags]
+        proc = subprocess.run(argv + ["--emit-regularization"], input=doc,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+        proc = subprocess.run(argv, input=doc, capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 1
 
 
 class TestBlocksCommand:

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from isodet import (
     NoOddBlockError,
     Poly,
     PolySpec,
+    SingularMatrixError,
     certificate_singular,
     decide,
     decide_gamma_shift,
@@ -26,13 +28,19 @@ from isodet import (
     verify_certificate,
 )
 
-from helpers import mat, random_nonsingular, random_rational, ref_gamma_shift
+from helpers import (
+    mat,
+    random_nonsingular,
+    random_rational,
+    ref_gamma_shift,
+    ref_odd_unipotent_counts,
+)
 
 
 class TestDecideExamples:
     def test_symplectic_unit(self):
         rep = decide(symplectic_unit(1))
-        assert rep.all_det_one and rep.method is Method.SKEW_FAST_PATH
+        assert rep.all_det_one and rep.method is Method.REGULARIZE
 
     def test_identity(self):
         rep = decide(Matrix.identity(QQ, 2))
@@ -61,6 +69,18 @@ class TestDecideExamples:
     def test_empty_matrix(self):
         assert decide(Matrix(QQ, [], ncols=0)).all_det_one
 
+    def test_theorem_check_fires(self, monkeypatch):
+        # an accepted input never runs the skew test; a refusal of an input
+        # with nonsingular M - M^T contradicts the theorem and raises
+        d = importlib.import_module("isodet.decide")
+        skew = d.skew_fast_path
+        monkeypatch.setattr(d, "skew_fast_path", lambda M: pytest.fail("skew test on an accept"))
+        assert decide(symplectic_unit(1)).all_det_one
+        monkeypatch.setattr(d, "skew_fast_path", skew)
+        monkeypatch.setattr(d, "odd_unipotent_counts", lambda B: ((2, 1, 1, 1), (1,)))
+        with pytest.raises(AssertionError):
+            decide(symplectic_unit(1))
+
 
 class TestSkewFastPath:
     def test_z4(self):
@@ -84,7 +104,7 @@ class TestSkewFastPath:
             M = random_rational(rng, n, 3)
             if skew_fast_path(M):
                 hits += 1
-                rep = decide(M, use_fast_path=False)
+                rep = decide(M)
                 assert rep.all_det_one
                 assert all(s % 2 == 0 for s in rep.singular_sizes)
                 assert all(c == 0 for c in rep.odd_block_counts)
@@ -105,6 +125,21 @@ class TestOddUnipotentCounts:
     def test_empty(self):
         r, c = odd_unipotent_counts(Matrix(QQ, [], ncols=0))
         assert r == (0,) and c == ()
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(10007)], ids=repr)
+    def test_matches_cosquare_formula(self, field):
+        rng = random.Random(11)
+        cases = [random_nonsingular(rng, n, field) for n in range(1, 7) for _ in range(8)]
+        cases += [gamma(r, field) for r in range(1, 6)]
+        cases += [direct_sum([jordan(3, 1, field), jordan(2, 2, field), gamma(2, field)]),
+                  direct_sum([jordan(1, -1, field), jordan(4, 1, field)])]
+        for B in cases:
+            assert odd_unipotent_counts(B) == ref_odd_unipotent_counts(B)
+
+    @pytest.mark.parametrize("rows", [[[0]], [[1, 1], [1, 1]], [[0, 0], [1, 0]]])
+    def test_singular_raises(self, rows):
+        with pytest.raises(SingularMatrixError, match="odd_unipotent_counts"):
+            odd_unipotent_counts(mat(rows))
 
 
 class TestGammaShift:

@@ -289,6 +289,22 @@ class TestKernelAgainstReference:
         for j in range(B.ncols):
             assert A.apply_to_vec(B.col(j)) == P.col(j)
 
+    @settings(max_examples=100, deadline=None)
+    @given(fields_and(lambda f: st.tuples(st.integers(0, 5).flatmap(lambda n: matrices(f, n, n)),
+                                          entries(f).filter(bool))))
+    def test_power_rank_sequence(self, args):
+        # A = N + mu*I, so the ranks are those of the powers of N
+        N, mu = args
+        f, n = N.field, N.nrows
+        mu = f.convert(mu)
+        A = Matrix(f, [[f.add(x, mu) if i == j else x for j, x in enumerate(r)]
+                       for i, r in enumerate(N.rows)], ncols=n)
+        expected, power = [n], N
+        for _ in range(n + 1):
+            expected.append(len(ref_rref(power)[1]))
+            power = Matrix(f, ref_matmul(power, N), ncols=n)
+        assert power_rank_sequence(A, mu, n + 1) == expected
+
     @pytest.mark.parametrize("field", FIELDS, ids=repr)
     def test_empty_shapes(self, field):
         for m, n in ((0, 0), (0, 3), (3, 0)):
