@@ -250,7 +250,7 @@ def _cmd_blocks(args) -> int:
             return 0
         else:
             raise DocumentError(f"unknown block kind {kind!r}")
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad parameters for {kind}: {exc}") from None
     print_document(M, as_text=args.text)
     return 0

@@ -160,7 +160,7 @@ def decide(M: Matrix) -> DecisionReport:
     ok = not odd_singular and all(c == 0 for c in counts)
 
     if not ok and skew_fast_path(M):
-        raise AssertionError("skew fast path contradicts the block counts")
+        raise AssertionError("nonsingular M - M^T forces membership; the block counts refute it")
 
     return DecisionReport(
         all_det_one=ok,

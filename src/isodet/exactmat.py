@@ -266,7 +266,7 @@ class Matrix:
         return Matrix._of(self.field, [[fmul(c, a) for a in r] for r in self.rows], self.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(self.field, zip(*self.rows) if self.rows else [], self.nrows)
+        return Matrix._of(self.field, zip(*self.rows) if self.rows else [()] * self.ncols, self.nrows)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "Matrix":
         ci = list(col_idx)

@@ -6,8 +6,11 @@ base p and filled into the matrix row-major, entry (r, c) taking digit
 r*n + c (least significant first).  Ranges of indices can be processed
 independently and the partial summaries added, so the scan shards cleanly.
 
-The congruence test runs vectorized over numpy int batches; arithmetic stays
-exact because all values are tiny integers reduced mod p.
+Every entry point reads one candidate stream, `_nonsingular`, which holds the
+budget check and yields batches of nonsingular candidates with their
+determinants, and applies one congruence test, `_congruence_hits`.  Batches
+store residues in the smallest unsigned type that holds p - 1 and widen to
+int64 for arithmetic, which stays exact because every value is reduced mod p.
 """
 
 from __future__ import annotations
@@ -39,15 +42,14 @@ class IsometrySummary:
     all_det_one: bool
 
 
-def _require_prime_field(M: Matrix) -> int:
+def _form(M: Matrix) -> tuple[np.ndarray, int]:
+    """(M mod p as an n x n int64 array, p) for a square M over F_p."""
+    if not M.is_square:
+        raise ValueError("square matrix required")
     p = M.field.p
     if p is None:
         raise ValueError("the enumeration oracle needs a prime field, not Q")
-    return p
-
-
-def _as_array(M: Matrix) -> np.ndarray:
-    return np.array(M.to_lists(), dtype=np.int64).reshape(M.nrows, M.nrows)
+    return np.array(M.to_lists(), dtype=np.int64).reshape(M.nrows, M.nrows) % p, p
 
 
 def _candidates(lo: int, hi: int, n: int, p: int) -> np.ndarray:
@@ -55,17 +57,15 @@ def _candidates(lo: int, hi: int, n: int, p: int) -> np.ndarray:
     ids = np.arange(lo, hi, dtype=np.int64)
     powers = p ** np.arange(n * n, dtype=np.int64)
     digits = (ids[:, None] // powers[None, :]) % p
-    return digits.reshape(-1, n, n).astype(np.int16)
+    return digits.reshape(hi - lo, n, n).astype(np.min_scalar_type(p - 1))
 
 
 def _det_mod(mats: np.ndarray, p: int) -> np.ndarray:
     """Determinants mod p of a batch of n x n integer matrices, n <= 4."""
     n = mats.shape[1]
     m = mats.astype(np.int64)
-    if n == 0:
-        return np.ones(mats.shape[0], dtype=np.int64)
-    if n == 1:
-        return m[:, 0, 0] % p
+    if n < 2:  # the diagonal's product, which is 1 when n = 0
+        return m.diagonal(axis1=1, axis2=2).prod(axis=1) % p
     if n == 2:
         return (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % p
     if n == 3:
@@ -75,16 +75,31 @@ def _det_mod(mats: np.ndarray, p: int) -> np.ndarray:
             + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
         )
         return d % p
-    if n == 4:
-        d = np.zeros(mats.shape[0], dtype=np.int64)
-        sign = 1
-        for j in range(4):
-            cols = [c for c in range(4) if c != j]
-            minor = m[:, 1:, :][:, :, cols]
-            d += sign * m[:, 0, j] * _det_mod(minor, p) % p
-            sign = -sign
-        return d % p
-    raise ValueError("det batch supports n <= 4 only")
+    d = np.zeros(mats.shape[0], dtype=np.int64)
+    sign = 1
+    for j in range(4):
+        cols = [c for c in range(4) if c != j]
+        minor = m[:, 1:, :][:, :, cols]
+        d += sign * m[:, 0, j] * _det_mod(minor, p) % p
+        sign = -sign
+    return d % p
+
+
+def _nonsingular(n: int, p: int, limit: int):
+    """Batches (S, det S mod p) of the nonsingular S in M_n(F_p), in index
+    order; BudgetExceededError before the first batch if the scan is too big."""
+    total = p ** (n * n)
+    if total > limit:
+        raise BudgetExceededError(f"{total} candidates exceed the limit {limit}")
+    if n > 4:
+        raise BudgetExceededError(f"the scan's determinant covers n <= 4, not n = {n}")
+    for lo in range(0, total, _BATCH):
+        S = _candidates(lo, min(lo + _BATCH, total), n, p)
+        d = _det_mod(S, p)
+        keep = d != 0
+        # rebind before yielding, so the unfiltered batch is freed meanwhile
+        S, d = S[keep], d[keep]
+        yield S, d
 
 
 def _congruence_hits(S: np.ndarray, A: np.ndarray, p: int) -> np.ndarray:
@@ -97,58 +112,25 @@ def _congruence_hits(S: np.ndarray, A: np.ndarray, p: int) -> np.ndarray:
 def enumerate_isometries(M: Matrix, limit: int = DEFAULT_LIMIT) -> IsometrySummary:
     """Visit every S in M_n(F_p), keep nonsingular solutions of S^T M S = M,
     and tally their determinants."""
-    if not M.is_square:
-        raise ValueError("square matrix required")
-    p = _require_prime_field(M)
-    n = M.nrows
-    total = p ** (n * n)
-    if total > limit:
-        raise BudgetExceededError(f"{total} candidates exceed the limit {limit}")
-    if n == 0:
-        return IsometrySummary(1, {1: 1}, True)
-    A = _as_array(M) % p
-    order = 0
+    A, p = _form(M)
     det_counts: dict[int, int] = {}
-    for lo in range(0, total, _BATCH):
-        S = _candidates(lo, min(lo + _BATCH, total), n, p)
-        dets = _det_mod(S, p)
-        keep = dets != 0
-        S = S[keep]
-        dets = dets[keep]
-        hits = _congruence_hits(S, A, p)
-        order += int(hits.sum())
-        vals, cnts = np.unique(dets[hits], return_counts=True)
+    for S, d in _nonsingular(M.nrows, p, limit):
+        vals, cnts = np.unique(d[_congruence_hits(S, A, p)], return_counts=True)
         for v, c in zip(vals.tolist(), cnts.tolist()):
             det_counts[v] = det_counts.get(v, 0) + c
-    all_one = det_counts.get(1, 0) == order
-    return IsometrySummary(order, det_counts, all_one)
+    order = sum(det_counts.values())
+    return IsometrySummary(order, det_counts, det_counts.get(1, 0) == order)
 
 
 def oracle_verdict(M: Matrix, limit: int = DEFAULT_LIMIT) -> bool:
     """Membership by definition: True iff no isometry with det != 1 exists.
 
-    Scans only determinant != 1 candidates and stops at the first witness.
+    Tests only determinant != 1 candidates and stops at the first batch that
+    holds a witness.
     """
-    if not M.is_square:
-        raise ValueError("square matrix required")
-    p = _require_prime_field(M)
-    n = M.nrows
-    total = p ** (n * n)
-    if total > limit:
-        raise BudgetExceededError(f"{total} candidates exceed the limit {limit}")
-    if n == 0:
-        return True
-    A = _as_array(M) % p
-    for lo in range(0, total, _BATCH):
-        S = _candidates(lo, min(lo + _BATCH, total), n, p)
-        dets = _det_mod(S, p)
-        keep = (dets != 0) & (dets != 1)
-        S = S[keep]
-        if S.shape[0] == 0:
-            continue
-        if _congruence_hits(S, A, p).any():
-            return False
-    return True
+    A, p = _form(M)
+    return not any(_congruence_hits(S[d != 1], A, p).any()
+                   for S, d in _nonsingular(M.nrows, p, limit))
 
 
 class BulkOracle:
@@ -161,38 +143,23 @@ class BulkOracle:
 
     def __init__(self, n: int, p: int, limit: int = DEFAULT_LIMIT):
         Field(p)  # validates the modulus
-        total = p ** (n * n)
-        if total > limit:
-            raise BudgetExceededError(f"{total} candidates exceed the limit {limit}")
         self.n = n
         self.p = p
-        parts = []
-        for lo in range(0, total, _BATCH):
-            S = _candidates(lo, min(lo + _BATCH, total), n, p)
-            dets = _det_mod(S, p)
-            parts.append(S[(dets != 0) & (dets != 1)])
-        self._scan = np.concatenate(parts, axis=0)
-        self._scan_T = self._scan.transpose(0, 2, 1).astype(np.int64)
+        self._scan = np.concatenate([S[d != 1] for S, d in _nonsingular(n, p, limit)])
 
     def matrix_from_index(self, idx: int, field: Field) -> Matrix:
         rows = _candidates(idx, idx + 1, self.n, self.p)[0].tolist()
         return Matrix(field, rows)
 
-    def verdict_from_array(self, A: np.ndarray) -> bool:
-        AS = np.matmul(A[None, :, :], self._scan.astype(np.int64)) % self.p
-        T = np.matmul(self._scan_T, AS) % self.p
-        return not (T == A[None, :, :]).all(axis=(1, 2)).any()
-
     def verdict(self, M: Matrix) -> bool:
-        return self.verdict_from_array(_as_array(M) % self.p)
+        A, _ = _form(M)
+        return not _congruence_hits(self._scan, A % self.p, self.p).any()
 
 
 def random_transform(field: Field, n: int, seed: int) -> Matrix:
     """Deterministic pseudo-random nonsingular n x n matrix with small
     entries (rejection sampling on the seed stream)."""
     rng = random.Random(seed)
-    if n == 0:
-        return Matrix(field, [], ncols=0)
     while True:
         if field.is_rational:
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]

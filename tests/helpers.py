@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from isodet import GF, QQ, DecisionReport, Matrix, Method, det_poly, inverse, power_rank_sequence
+from isodet import (GF, QQ, DecisionReport, Matrix, Method, det, det_poly, inverse,
+                    power_rank_sequence)
 from isodet.exactmat import hstack, nullspace, rank, rref
 
 
@@ -18,6 +19,18 @@ def all_matrices(n, p):
     f = GF(p)
     for bits in itertools.product(range(p), repeat=n * n):
         yield Matrix(f, [bits[i * n:(i + 1) * n] for i in range(n)])
+
+
+def ref_isometry_dets(M: Matrix) -> dict[int, int]:
+    """Determinant tally of the isometries of M over F_p: every matrix from
+    all_matrices, kept when det is nonzero and S^T M S = M by Matrix products.
+    Shares no code with the numpy scan in isodet.oracle."""
+    tally: dict[int, int] = {}
+    for S in all_matrices(M.nrows, M.field.p):
+        d = det(S)
+        if d != 0 and S.transpose() * M * S == M:
+            tally[d] = tally.get(d, 0) + 1
+    return tally
 
 
 def random_rational(rng: random.Random, n: int, bound: int = 5) -> Matrix:

@@ -268,6 +268,16 @@ class TestBlocksCommand:
         code, _, err = run(capsys, ["blocks", "gamma", "zero"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["jordan", "2", "1/0"], ["frobenius", "--", "1/0,1"]],
+                             ids=["jordan", "frobenius"])
+    def test_zero_denominator_exits_two_without_traceback(self, argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "isodet.cli", "blocks", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+
 
 class TestOracleCommand:
     def test_symplectic_f3(self, capsys, monkeypatch):
@@ -293,6 +303,17 @@ class TestOracleCommand:
         doc = json.dumps({"field": "F3", "rows": rows})
         code, _, err = run(capsys, ["oracle", "-"], stdin=doc, monkeypatch=monkeypatch)
         assert code == 2
+
+    def test_five_by_five_exits_two_within_budget(self):
+        # 3^25 candidates fit the limit, but the scan's determinant stops at n = 4
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        doc = "5 F3\n" + "0 0 0 0 0\n" * 5
+        proc = subprocess.run([sys.executable, "-m", "isodet.cli", "oracle", "-", "--limit",
+                               "1000000000000"], input=doc, capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
 
 
 class TestAgreement:

@@ -323,3 +323,12 @@ class TestKernelAgainstReference:
         A = Matrix(field, [[]] * 2, ncols=0)
         assert solve(A, Matrix.zeros(field, 2, 1)) == Matrix(field, [], ncols=1)
         assert solve(A, Matrix(field, [[1], [0]])) is None
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=str)
+    def test_empty_transpose_roundtrip(self, field, shape):
+        m, n = shape
+        Z = Matrix.zeros(field, m, n)
+        T = Z.transpose()
+        assert (T.nrows, T.ncols) == (n, m)
+        assert T == Matrix.zeros(field, n, m) and T.transpose() == Z

@@ -7,6 +7,7 @@ from isodet import (
     Matrix,
     BudgetExceededError,
     BulkOracle,
+    IsometrySummary,
     decide,
     enumerate_isometries,
     jordan,
@@ -18,7 +19,7 @@ from isodet import (
 )
 from isodet.oracle import random_transform
 
-from helpers import all_matrices, mat
+from helpers import all_matrices, mat, ref_isometry_dets
 
 
 def order_gl(n, q):
@@ -105,6 +106,37 @@ class TestBulkOracle:
             idx = rng.randrange(5 ** 4)
             M = b.matrix_from_index(idx, f)
             assert b.verdict(M) == decide(M).all_det_one
+
+
+class TestAgainstReference:
+    """The scan's three entry points against ref_isometry_dets."""
+
+    def check(self, M, bulk):
+        tally = ref_isometry_dets(M)
+        order = sum(tally.values())
+        all_one = tally.get(1, 0) == order
+        assert enumerate_isometries(M) == IsometrySummary(order, tally, all_one)
+        assert oracle_verdict(M) == all_one
+        assert bulk.verdict(M) == all_one
+
+    def test_all_m2_f3(self):
+        bulk = BulkOracle(2, 3)
+        for M in all_matrices(2, 3):
+            self.check(M, bulk)
+
+    def test_sampled_m2_f5(self):
+        bulk = BulkOracle(2, 5)
+        f = GF(5)
+        rng = random.Random(11)
+        for _ in range(60):
+            self.check(Matrix(f, [[rng.randrange(5) for _ in range(2)] for _ in range(2)]), bulk)
+
+    @pytest.mark.parametrize("p", [32771, 65539])
+    def test_residues_above_int16(self, p):
+        # residues up to p - 1 must survive the batch's storage type
+        bulk = BulkOracle(1, p)
+        for v in (1, 2):
+            self.check(Matrix(GF(p), [[v]]), bulk)
 
 
 class TestRandomCongruence:
