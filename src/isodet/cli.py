@@ -139,10 +139,13 @@ def print_document(M: Matrix, as_text: bool = False, out=None) -> None:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from None
 
 
 def _report_json(M: Matrix, rep: DecisionReport, want_cert: bool, emit_reg: bool) -> dict:
@@ -259,8 +262,7 @@ def _cmd_blocks(args) -> int:
 def _cmd_oracle(args) -> int:
     M = parse_document(_read_input(args.matrix))
     if M.field.p is None:
-        print("oracle needs a finite prime field (F3 or F5)", file=sys.stderr)
-        return 2
+        raise DocumentError("oracle needs a document over a prime field F<p>, not Q")
     summary = enumerate_isometries(M, limit=args.limit)
     tally = {str(k): v for k, v in sorted(summary.det_counts.items())}
     if args.json:
@@ -322,8 +324,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (DocumentError, OutputError, FieldError, BudgetExceededError,
-            FileNotFoundError) as exc:
+    except (DocumentError, OutputError, FieldError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -149,15 +149,6 @@ def _scaled(vecs):
     return out
 
 
-def dot_rows(field: Field, rows: Iterable[Sequence], v: Sequence) -> tuple:
-    """The dot product of each row with v, as a tuple of field elements."""
-    p = field.p
-    if p is not None:
-        return tuple(sum(map(mul, r, v)) % p for r in rows)
-    ((w, t),) = _scaled((v,))
-    return tuple(Fraction(sum(map(mul, r, w)), s * t) for r, s in _scaled(rows))
-
-
 class Matrix:
     """Immutable dense matrix over a fixed field.  0x0 matrices are legal."""
 
@@ -274,7 +265,7 @@ class Matrix:
 
     def apply_to_vec(self, v: Sequence):
         """Matrix-vector product A·v with v a plain coefficient sequence."""
-        return dot_rows(self.field, self.rows, v)
+        return (self * Matrix._of(self.field, [(x,) for x in v], 1)).col(0)
 
     def to_lists(self):
         return [list(r) for r in self.rows]

@@ -18,14 +18,23 @@ vector of each chain is the unique z with M^T z = M d and M z = 0 (d the
 deepest recovered chain vector), and the missing next-to-last vector is the
 solution of an explicit linear pairing system.  Finally a correction pass
 absorbs the kernel components that the restricted problem cannot see.
+
+Each step treats a set of vectors as the columns of one matrix: a lift or a
+set of pairings is one product, and the last vectors of all chains come
+from one solve.  A chain of length 3 starts with a head, one of the 1x1
+blocks of the restriction.  The pairing systems of those chains share one
+coefficient matrix and those of all other chains another, so the
+next-to-last vectors take two solves, with one right-hand side per chain.
+Each correction pass is one product update of all the vectors it fixes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 from .blocks import direct_sum, jordan
-from .exactmat import Matrix, dot_rows, nullspace, rank, rref, solve, vstack
+from .exactmat import Matrix, hstack, nullspace, rank, rref, solve, vstack
 
 
 class RegularizationError(AssertionError):
@@ -57,97 +66,80 @@ def regularize(M: Matrix) -> RegularizationResult:
         raise ValueError("regularize needs a square matrix")
     f = M.field
     n = M.nrows
-    b_vecs, chains = _decompose(M)
-    chains.sort(key=len)
-    cols = list(b_vecs)
-    for ch in chains:
-        cols.extend(ch)
-    if len(cols) != n:
+    W, spans = _decompose(M)
+    if W.ncols != n:
         raise RegularizationError("basis size mismatch")
-    S = Matrix.from_cols(f, cols, nrows=n)
+    spans.sort(key=len)
+    b = n - sum(map(len, spans))
+    S = _cols(W, [*range(b), *(c for span in spans for c in span)])
     N = S.transpose() * M * S
-    b = len(b_vecs)
     B = N.submatrix(range(b), range(b))
-    sizes = tuple(len(ch) for ch in chains)
+    sizes = tuple(map(len, spans))
     expected = direct_sum([B] + [jordan(s, 0, f) for s in sizes], field=f)
     if rank(S) != n or rank(B) != b or N != expected:
         raise RegularizationError("regularization postcondition failed")
     return RegularizationResult(S, B, sizes)
 
 
-def _unit(f, n, i):
-    z = f.zero()
-    v = [z] * n
-    v[i] = f.one()
-    return tuple(v)
+def _cols(A: Matrix, idx) -> Matrix:
+    """The columns idx of A, in that order."""
+    return A.submatrix(range(A.nrows), idx)
 
 
-def _add_scaled(f, u, v, c):
-    """u + c*v componentwise."""
-    return dot_rows(f, zip(u, v), (f.one(), c))
+def _indicator(f, nrows: int, hits: list) -> Matrix:
+    """The nrows x len(hits) matrix with ones in the rows hits[j] of column j."""
+    z, o = f.zero(), f.one()
+    return Matrix._of(f, [[o if i in hit else z for hit in hits] for i in range(nrows)], len(hits))
 
 
-def _pair(G: Matrix, u, v):
-    """The form value u^T G v."""
-    return dot_rows(G.field, (u,), G.apply_to_vec(v))[0]
+def _solve(A: Matrix, rhs: Matrix, what: str) -> Matrix:
+    """The solution of A X = rhs with the free variables zero, column by column."""
+    if not rhs.ncols:
+        return Matrix.zeros(A.field, A.ncols, 0)
+    X = solve(A, rhs)
+    if X is None:
+        raise RegularizationError(f"{what} inconsistent")
+    return X
 
 
-def _kernel_members(A: Matrix, Vmat: Matrix) -> list[tuple]:
-    """Basis of {v in col-span(Vmat) : A v = 0}."""
-    if Vmat.ncols == 0:
-        return []
-    C = nullspace(A * Vmat)
-    return [Vmat.apply_to_vec(C.col(j)) for j in range(C.ncols)]
-
-
-def _greedy_extend(f, base: list[tuple], pool: list[tuple], n: int) -> list[tuple]:
-    """Pool vectors that extend base to a larger independent set, in order.
+def _greedy_extend(base: Matrix, pool: Matrix) -> list[int]:
+    """Indices of the pool columns that extend the base columns to a larger
+    independent set, in order.
 
     Column j of [base | pool] is a pivot of its reduced row echelon form
     exactly when it is independent of columns 0..j-1: the greedy choice.
     """
-    if not pool:
-        return []
-    _, piv = rref(Matrix.from_cols(f, base + pool, nrows=n))
-    return [pool[j - len(base)] for j in piv if j >= len(base)]
+    _, piv = rref(hstack(base, pool))
+    return [j - base.ncols for j in piv if j >= base.ncols]
 
 
-def _decompose(G: Matrix) -> tuple[list[tuple], list[list[tuple]]]:
-    """Basis vectors of the regular part and the singular chains of G.
+def _decompose(G: Matrix) -> tuple[Matrix, list[range]]:
+    """A basis of F^n as the columns of W, and the column ranges of the
+    singular chains of G in W; the columns before all ranges span the
+    regular part.
 
-    Chains come back as [u_1, ..., u_s] with pairings u_{i+1}^T G u_i = 1 and
-    all other pairings (within a chain, across chains, and against the
-    regular part) equal to zero.
+    A chain's columns u_1, ..., u_s pair as u_{i+1}^T G u_i = 1, and all
+    other pairings (within a chain, across chains, and against the regular
+    part) are zero.
     """
     f = G.field
     n = G.nrows
-    if n == 0:
-        return [], []
     if rank(G) == n:
-        return [_unit(f, n, i) for i in range(n)], []
+        return Matrix.identity(f, n), []
     GT = G.transpose()
 
-    # 1x1 singular blocks: the two-sided kernel splits off against anything.
+    # 1x1 singular blocks: the two-sided kernel splits off against the unit
+    # vectors that extend it to a basis.
     K0 = nullspace(vstack(G, GT))
-    if K0.ncols > 0:
-        k0cols = [K0.col(j) for j in range(K0.ncols)]
-        units = [_unit(f, n, i) for i in range(n)]
-        comp = _greedy_extend(f, k0cols, units, n)
-        idx = [u.index(f.one()) for u in comp]
-        G2 = G.submatrix(idx, idx)
-        bv2, ch2 = _decompose(G2)
-
-        def embed(v2):
-            z = f.zero()
-            v = [z] * n
-            for pos, c in zip(idx, v2):
-                v[pos] = c
-            return tuple(v)
-
-        b_vecs = [embed(v) for v in bv2]
-        chains = [[embed(v) for v in ch] for ch in ch2]
-        chains.extend([[c] for c in k0cols])
-        return b_vecs, chains
+    if K0.ncols:
+        k = n - K0.ncols
+        ones = [range(c, c + 1) for c in range(k, n)]
+        if not k:  # G = 0
+            return K0, ones
+        I = Matrix.identity(f, n)
+        idx = _greedy_extend(K0, I)
+        W2, spans = _decompose(G.submatrix(idx, idx))
+        return hstack(_cols(I, idx) * W2, K0), spans + ones
 
     # Restrict to Y = {x : k^T G x = 0 for all k in ker G}.
     K = nullspace(G)
@@ -155,103 +147,74 @@ def _decompose(G: Matrix) -> tuple[list[tuple], list[list[tuple]]]:
     Ymat = nullspace(K.transpose() * G)
     if Ymat.ncols != n - q:
         raise RegularizationError("unexpected restriction dimension")
-    G_Y = Ymat.transpose() * G * Ymat
-    bvY, chY = _decompose(G_Y)
-
-    b_vecs = [Ymat.apply_to_vec(v) for v in bvY]
-    lifted = [[Ymat.apply_to_vec(v) for v in ch] for ch in chY]
+    WY, spansY = _decompose(Ymat.transpose() * G * Ymat)
+    L = Ymat * WY
+    b = n - q - sum(map(len, spansY))
 
     # The 1x1 blocks of the restriction span (chain ends) + (chain heads of
     # length-3 chains); separate them invariantly, discarding any mixing the
     # recursion introduced.
-    ones = [ch[0] for ch in lifted if len(ch) == 1]
-    longs = [list(ch) for ch in lifted if len(ch) >= 2]
-    K0Ymat = Matrix.from_cols(f, ones, nrows=n)
-    heads = _kernel_members(GT, K0Ymat)
-    ends_dim = len(ones) - len(heads)
-    if ends_dim != q:
+    O = _cols(L, [span.start for span in spansY if len(span) == 1])
+    H = O * nullspace(GT * O)
+    h = H.ncols
+    if O.ncols - h != q:
         raise RegularizationError("chain end count mismatch")
 
-    stubs = longs + [[h] for h in heads]
-    n_longs = len(longs)
+    # The vectors fixed so far, U = [H | V]: the heads, then the known vectors
+    # V, that is the regular part and the stub of each longer chain, stub t
+    # in columns bounds[t]..bounds[t+1]-1 of V.
+    longs = [span for span in spansY if len(span) > 1]
+    V = _cols(L, [*range(b), *(c for span in longs for c in span)])
+    m = V.ncols
+    bounds = list(accumulate(map(len, longs), initial=b))
+    deepest = [t - 1 for t in bounds[1:]]
+    GU = G * hstack(H, V)
 
-    # The true final vector of each stubbed chain: the unique z with
-    # G^T z = G d and G z = 0 (uniqueness because the two-sided kernel is 0).
-    z_vecs: list[tuple] = []
-    if stubs:
-        zero_vec = (f.zero(),) * n
-        rhs = Matrix.from_cols(f, [G.apply_to_vec(ch[-1]) + zero_vec for ch in stubs])
-        Z = solve(vstack(GT, G), rhs)
-        if Z is None:
-            raise RegularizationError("chain end equation inconsistent")
-        z_vecs = [Z.col(j) for j in range(Z.ncols)]
+    # Chains from here on: h with a head, then the longer ones, then those
+    # of length 2.  The true final vector of each stubbed chain is the
+    # unique z with G^T z = G d and G z = 0, d its head or its deepest stub
+    # vector (unique because the two-sided kernel is 0).
+    GD = _cols(GU, [*range(h), *(h + d for d in deepest)])
+    Z = _solve(vstack(GT, G), vstack(GD, Matrix.zeros(f, n, GD.ncols)), "chain end equation")
 
     # Remaining kernel directions are the ends of length-2 chains.
-    kernel_pool = [K.col(j) for j in range(q)]
-    leftovers = _greedy_extend(f, z_vecs, kernel_pool, n)
-    if len(z_vecs) + len(leftovers) != q:
+    rest = _greedy_extend(Z, K)
+    if Z.ncols + len(rest) != q:
         raise RegularizationError("kernel accounting mismatch")
+    E = hstack(Z, _cols(K, rest))
 
-    # Chain records: (stub vectors, end vector, is_head_chain)
-    records = [(ch, z, i >= n_longs) for i, (ch, z) in enumerate(zip(stubs, z_vecs))]
-    records += [([], e, False) for e in leftovers]
-    ends_all = [rec[1] for rec in records]
-    r = len(records)
-    head_chain_idx = [j for j, rec in enumerate(records) if rec[2]]
+    # The next-to-last vector x_j of chain j pairs e_k^T G x_j = 1 if k = j
+    # else 0 with the ends, and x_j^T G u = 1 if u is chain j's head else 0
+    # with the heads: the first q + h rows of A.  A chain without a head
+    # also pairs x_j^T G v = 1 with its deepest stub vector and 0 with the
+    # other known vectors: all rows of A.  So it takes one solve per kind of
+    # chain, with one right-hand side per chain.
+    A = vstack(E.transpose() * G, GU.transpose())
+    hits = ([(j, q + h + d) for j, d in enumerate(deepest, h)]
+            + [(j,) for j in range(h + len(longs), q)])
+    X = _solve(A, _indicator(f, q + h + m, hits), "pairing system")
 
-    # Solve for the next-to-last vector of each chain.  Every system pairs
-    # with the ends and the head stubs; the others also with the known vectors.
-    one, zero = f.one(), f.zero()
-    shared = ([GT.apply_to_vec(e) for e in ends_all]
-              + [G.apply_to_vec(records[m][0][0]) for m in head_chain_idx])
-    known_rows = b_vecs + [v for ch, _, is_head in records if ch and not is_head for v in ch]
-    known_G = [G.apply_to_vec(v) for v in known_rows]
-    xs: list[tuple] = []
-    for j, (stub, _end, is_head) in enumerate(records):
-        rows = list(shared)
-        rhs = [one if k == j else zero for k in range(r)]
-        rhs += [one if m == j else zero for m in head_chain_idx]
-        if not is_head:
-            d = stub[-1] if stub else None
-            if stub:
-                rows.append(G.apply_to_vec(d))
-                rhs.append(one)
-            for v, Gv in zip(known_rows, known_G):
-                if v is not d:
-                    rows.append(Gv)
-                    rhs.append(zero)
-        xsol = solve(Matrix(f, rows, ncols=n), Matrix.from_cols(f, [rhs], nrows=len(rhs)))
-        if xsol is None:
-            raise RegularizationError("pairing system inconsistent")
-        xs.append(xsol.col(0))
+    # Correction passes, each one product update from the starting
+    # coefficients.  A sweep that fixes one direction at a time gives the
+    # same vectors: taking beta*u off v, u the head of chain i, leaves
+    # x_j^T G v alone for j != i as x_j^T G u = 0, and taking alpha*e_k off
+    # v leaves v^T G x_j alone for j != k as e_k^T G x_j = 0.
+    if h:
+        # the x_j of the head chains detect the head components of the
+        # known vectors, which the restriction cannot see
+        Xh = _solve(A.submatrix(range(q + h), range(n)),
+                    _indicator(f, q + h, [(i, q + i) for i in range(h)]), "pairing system")
+        X = hstack(Xh, X)
+        V = V - H * (Xh.transpose() * _cols(GU, range(h, h + m)))
+    # then the known vectors and the x_j lose their end components
+    VX = hstack(V, X)
+    VX = VX - E * (X.transpose() * GT * VX)
 
-    # Correction passes.  All three use only directions that pair to zero
-    # with everything already fixed, so they commute and need one sweep each.
-    def fix_vector(v):
-        # head components first: invisible to the restriction, detected by x_j
-        for j in head_chain_idx:
-            beta = _pair(G, xs[j], v)
-            if not f.is_zero(beta):
-                v = _add_scaled(f, v, records[j][0][0], f.neg(beta))
-        # then end components, detected the other way around
-        for j in range(r):
-            alpha = _pair(G, v, xs[j])
-            if not f.is_zero(alpha):
-                v = _add_scaled(f, v, ends_all[j], f.neg(alpha))
-        return v
-
-    b_vecs = [fix_vector(v) for v in b_vecs]
-    records = [(stub if is_head else [fix_vector(v) for v in stub], end, is_head)
-               for stub, end, is_head in records]
-
-    # Cross terms among the solved vectors, absorbed by the chain ends.
-    D = [[_pair(G, xs[j], xs[k]) for k in range(r)] for j in range(r)]
-    for j in range(r):
-        v = xs[j]
-        for k in range(r):
-            if not f.is_zero(D[j][k]):
-                v = _add_scaled(f, v, ends_all[k], f.neg(D[j][k]))
-        xs[j] = v
-
-    chains = [[*stub, xs[j], end] for j, (stub, end, _h) in enumerate(records)]
-    return b_vecs, chains
+    # Chain j is its stub, x_j and e_j, taken from the columns of [V | X | H | E].
+    stubs = ([[m + q + i] for i in range(h)] + [range(s, t) for s, t in pairwise(bounds)]
+             + [[]] * (q - h - len(longs)))
+    cols, spans = [*range(b)], []
+    for j, stub in enumerate(stubs):
+        spans.append(range(len(cols), len(cols) + len(stub) + 2))
+        cols += [*stub, m + j, m + q + h + j]
+    return _cols(hstack(VX, hstack(H, E)), cols), spans

@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from isodet import (GF, QQ, DecisionReport, Matrix, Method, det, det_poly, inverse,
-                    power_rank_sequence)
+from isodet import (GF, QQ, DecisionReport, Matrix, Method, det, det_poly, direct_sum, gamma,
+                    inverse, jordan, power_rank_sequence, symplectic_unit)
 from isodet.exactmat import hstack, nullspace, rank, rref
 
 
@@ -46,6 +46,32 @@ def random_nonsingular(rng: random.Random, n: int, field=QQ, bound: int = 3) -> 
         T = Matrix(field, rows)
         if rank(T) == n:
             return T
+
+
+def known_sum(spec: str, field=QQ, seed=0):
+    """A scrambled direct sum of canonical blocks and its known answers.
+
+    spec joins summands with "+": J<s> is jordan(s, 0), G<r> is gamma(r) and
+    Z<m> is symplectic_unit(m), of size 2m.  The sum is mixed by T^T (.) T
+    for a random nonsingular T.  The singular sizes and the odd-block
+    counts of a direct sum are those of its summands (Horn & Sergeichuk,
+    LAA 416 (2006)): the sizes are the s of the J<s>, c_k counts the G<r>
+    with r = 2k+1 (the cosquare of Z<m> is -I), and every isometry has
+    determinant one iff no s and no r is odd.
+
+    Returns (M, sorted singular sizes, (c_0, ..., c_{(n-1)//2}), verdict).
+    """
+    build = {"J": lambda k: jordan(k, 0, field), "G": lambda k: gamma(k, field),
+             "Z": lambda k: symplectic_unit(k, field)}
+    parts = [(code[0], int(code[1:])) for code in spec.split("+")]
+    C = direct_sum([build[kind](k) for kind, k in parts], field=field)
+    n = C.nrows
+    T = random_nonsingular(random.Random(seed), n, field)
+    sizes = tuple(sorted(k for kind, k in parts if kind == "J"))
+    odd_r = [k for kind, k in parts if kind == "G" and k % 2]
+    counts = tuple(odd_r.count(2 * k + 1) for k in range((n - 1) // 2 + 1))
+    verdict = not odd_r and all(s % 2 == 0 for s in sizes)
+    return T.transpose() * C * T, sizes, counts, verdict
 
 
 def _column_space_basis(f, cols_matrix, n):

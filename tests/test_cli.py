@@ -15,6 +15,14 @@ from isodet import GF, QQ, Matrix, regularize
 
 Z2_DOC = '{"field": "Q", "rows": [["0", "1"], ["-1", "0"]]}'
 I2_DOC = '{"field": "Q", "rows": [["1", "0"], ["0", "1"]]}'
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(*argv, stdin=None):
+    """`python -m isodet.cli ARGV...` in a fresh interpreter, output captured."""
+    return subprocess.run([sys.executable, "-m", "isodet.cli", *argv], input=stdin,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -68,21 +76,15 @@ class TestParsing:
         '{"field": "Q", "rows": [[' + "1" * 5000 + ']]}',
     ], ids=["zero-denominator", "modulus-above-limit", "huge-modulus", "huge-json-int"])
     def test_bad_input_exits_two_without_traceback(self, doc):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-m", "isodet.cli", "decide", "-"], input=doc,
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_cli("decide", "-", stdin=doc)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and "error" in proc.stderr
 
     @pytest.mark.parametrize("entry", ["1e1000000", "1e-1000000", "1E4301", "1e0_4_3_0_1"])
     def test_huge_exponent_exits_two_fast(self, entry):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src}
         doc = json.dumps({"field": "Q", "rows": [[entry]]})
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "isodet.cli", "decide", "-"], input=doc,
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_cli("decide", "-", stdin=doc)
         assert time.perf_counter() - start < 1.0
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and "exponent" in proc.stderr
@@ -232,16 +234,11 @@ class TestDecideCommand:
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
     def test_long_output_entry_exits_two(self, flags):
         # the regular part of [[10^4300]] has 4301 digits, beyond int -> str
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src}
         doc = json.dumps({"field": "Q", "rows": [["1E4300"]]})
-        argv = [sys.executable, "-m", "isodet.cli", "decide", "-", *flags]
-        proc = subprocess.run(argv + ["--emit-regularization"], input=doc,
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_cli("decide", "-", *flags, "--emit-regularization", stdin=doc)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
-        proc = subprocess.run(argv, input=doc, capture_output=True, text=True, env=env,
-                              timeout=60)
+        proc = run_cli("decide", "-", *flags, stdin=doc)
         assert proc.returncode == 1
 
 
@@ -271,10 +268,7 @@ class TestBlocksCommand:
     @pytest.mark.parametrize("argv", [["jordan", "2", "1/0"], ["frobenius", "--", "1/0,1"]],
                              ids=["jordan", "frobenius"])
     def test_zero_denominator_exits_two_without_traceback(self, argv):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-m", "isodet.cli", "blocks", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_cli("blocks", *argv)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
 
@@ -297,6 +291,7 @@ class TestOracleCommand:
     def test_rational_rejected(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["oracle", "-"], stdin=Z2_DOC, monkeypatch=monkeypatch)
         assert code == 2
+        assert err.startswith("error:") and "F<p>" in err
 
     def test_budget_exit_two(self, capsys, monkeypatch):
         rows = [["0"] * 5 for _ in range(5)]
@@ -306,12 +301,23 @@ class TestOracleCommand:
 
     def test_five_by_five_exits_two_within_budget(self):
         # 3^25 candidates fit the limit, but the scan's determinant stops at n = 4
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src}
         doc = "5 F3\n" + "0 0 0 0 0\n" * 5
-        proc = subprocess.run([sys.executable, "-m", "isodet.cli", "oracle", "-", "--limit",
-                               "1000000000000"], input=doc, capture_output=True, text=True,
-                              env=env, timeout=60)
+        proc = run_cli("oracle", "-", "--limit", "1000000000000", stdin=doc)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", [["decide"], ["oracle"], ["blocks", "directsum"],
+                                         ["blocks", "skewsum", "-"]],
+                             ids=["decide", "oracle", "directsum", "skewsum"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_exits_two_without_traceback(self, tmp_path, command, kind):
+        path = tmp_path
+        if kind == "not-utf8":
+            path = tmp_path / "junk"
+            path.write_bytes(bytes(range(256)))
+        proc = run_cli(*command, str(path), stdin=Z2_DOC)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
 

@@ -1,0 +1,43 @@
+"""Known answers beyond the exhaustive sizes: scrambled direct sums of
+J_s(0), Gamma_r and Z_m (`helpers.known_sum`) at n = 12..48 over F_7 and
+F_10007 and n = 12..24 over Q.  The singular sizes, the odd-block counts,
+the verdict and whether a certificate exists all follow from the summands,
+so both routes are checked against answers computed without them."""
+
+import pytest
+
+from isodet import GF, QQ, decide, decide_gamma_shift, verify_certificate
+
+from helpers import known_sum
+
+CASES = [
+    (QQ, "J3+J2+G5+Z1"),                  # n = 12
+    (QQ, "J4+J2+G6+G2+Z2"),               # n = 18, accepted
+    (QQ, "J5+J2+J2+G6+G3+Z3"),            # n = 24
+    (GF(10007), "J2+J2+G3+G3+Z1"),        # n = 12
+    (GF(10007), "J6+J3+G9+Z3"),           # n = 24
+    (GF(10007), "J4+J4+J1+G11+G5+G3+Z4"),  # n = 36
+    (GF(10007), "J7+J2+G13+G9+G1+Z8"),    # n = 48
+    (GF(7), "J4+G3+G1+Z2"),               # n = 12
+    (GF(7), "J5+J2+G7+G6+Z2"),            # n = 24
+    (GF(7), "J4+J2+G10+G6+Z7"),           # n = 36, accepted
+    (GF(7), "J6+J2+G11+G10+G5+Z7"),       # n = 48
+    (GF(7), "J5+J2+J1+G11+G10+G5+Z7"),    # n = 48
+]
+
+
+@pytest.mark.parametrize("field, spec", CASES, ids=[f"{f!r}:{s}" for f, s in CASES])
+def test_known_answers(field, spec):
+    M, sizes, counts, verdict = known_sum(spec, field, seed=spec)
+    odd = any(s % 2 for s in sizes)
+    rep = decide(M)
+    assert rep.singular_sizes == sizes
+    assert rep.odd_block_counts == counts
+    assert rep.all_det_one is verdict
+    assert (rep.certificate is not None) is odd
+    assert not odd or verify_certificate(M, rep.certificate)
+    gam = decide_gamma_shift(M)
+    assert gam.all_det_one is verdict
+    # an odd singular block makes the pencil singular, and the route stops
+    # before it counts
+    assert gam.odd_block_counts == (() if odd else counts)
