@@ -28,10 +28,10 @@ from .exactmat import (
     SingularMatrixError,
     det,
     hstack,
-    inverse,
     power_rank_sequence,
     rank,
     rref,
+    solve,
 )
 from .regularize import RegularizationResult, regularize
 
@@ -94,15 +94,23 @@ def odd_unipotent_counts(B: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _count_step(A: Matrix, C: Matrix, k: int, stage: str):
     """The rank sequence of P = A^{-1} C, each rank divided by k, and its
-    counts c_0 .. c_{(n-1)//2} for n = size/k; A must be nonsingular.  P is
-    read off one elimination of [A | C], which also shows whether A is."""
+    counts c_0 .. c_{(n-1)//2} for n = size/k; A must be nonsingular.
+
+    rank P = rank C, so a nonsingular C gives the constant sequence and no
+    counts, after a rank check of A.  Otherwise P is read off one reduced
+    elimination of [A | C], which also shows whether A is nonsingular."""
     m = A.nrows
     n = m // k
-    R, piv = rref(hstack(A, C))
-    if piv[:m] != list(range(m)):
-        raise SingularMatrixError(f"{stage}: singular {m}x{m} matrix")
-    P = R.submatrix(range(m), range(m, m + C.ncols))
-    r = [x // k for x in power_rank_sequence(P, A.field.zero(), n + 1)]
+    if rank(C) == m:
+        if rank(A) != m:
+            raise SingularMatrixError(f"{stage}: singular {m}x{m} matrix")
+        r = [n] * (n + 2)
+    else:
+        R, piv = rref(hstack(A, C))
+        if piv[:m] != list(range(m)):
+            raise SingularMatrixError(f"{stage}: singular {m}x{m} matrix")
+        P = R.submatrix(range(m), range(m, m + C.ncols))
+        r = [x // k for x in power_rank_sequence(P, A.field.zero(), n + 1)]
     return tuple(r), _block_counts(r, (n - 1) // 2)
 
 
@@ -127,11 +135,19 @@ def certificate_singular(M: Matrix, reg: RegularizationResult) -> Matrix:
         offset += s
     else:
         raise NoOddBlockError("no odd singular block to build a certificate from")
-    # S·D with D = diag(..., -1 on the block, ...) negates the block's columns
+    # S D S^{-1} with D = I - 2 E E^T, E the block's columns of I, is
+    # I + (S E)(-2 E^T S^{-1}), and -2 E^T S^{-1} = W^T for the solution W
+    # of S^T W = -2 E: one solve with a column per coordinate of the block
     S = reg.transform
-    end = start + width
-    SD = Matrix._of(f, [r[:start] + tuple(map(f.neg, r[start:end])) + r[end:] for r in S.rows], n)
-    return SD * inverse(S)
+    minus_two = f.convert(-2)
+    rhs = Matrix._of(f, [[minus_two if i == start + j else f.zero() for j in range(width)]
+                         for i in range(n)], width)
+    W = solve(S.transpose(), rhs)
+    if W is None:
+        raise SingularMatrixError("certificate_singular: singular regularizing transform")
+    P = S.submatrix(range(n), range(start, start + width)) * W.transpose()
+    one = f.one()
+    return Matrix._of(f, [r[:i] + (f.add(r[i], one),) + r[i + 1:] for i, r in enumerate(P.rows)], n)
 
 
 def verify_certificate(M: Matrix, S: Matrix) -> bool:

@@ -7,8 +7,11 @@ floating point anywhere.
 
 Arithmetic runs on Python ints: over Q a row or column enters a kernel
 scaled by the lcm of its denominators, and a `Fraction` is built only for
-an output entry.  `rank`, `rref` (so `nullspace`, `solve`, `inverse`) and
-`det` share one fraction-free elimination kernel, `_eliminate`.
+an output entry.  `rank`, `rref` (so `solve`, `inverse`), `nullspace` and
+`det` share one fraction-free elimination kernel: a forward pass,
+`_eliminate`, and a back substitution, `_back_substitute`, that runs only
+when a reduced form is asked for (`rref`, and `nullspace` when some column
+is free).
 """
 
 from __future__ import annotations
@@ -300,9 +303,9 @@ def _int_rows(A: Matrix) -> tuple[list[list[int]], int]:
     return [r for r, _ in pairs], prod(s for _, s in pairs)
 
 
-def _eliminate(rows: list[list[int]], ncols: int, p: int | None,
-               reduced: bool = False) -> tuple[list[int], int, int]:
-    """Row-reduce integer rows in place; return (pivot columns, num, den).
+def _eliminate(rows: list[list[int]], ncols: int, p: int | None) -> tuple[list[int], int, int]:
+    """Forward pass: bring integer rows to echelon form in place; return
+    (pivot columns, num, den).
 
     Over F_p each pivot row is scaled to a leading 1 and a row update is
     reduced mod p once.  Over Q a row update is fraction-free: row ←
@@ -312,9 +315,9 @@ def _eliminate(rows: list[list[int]], ncols: int, p: int | None,
     elimination, so entries never outgrow Bareiss's minors (Math. Comp. 22
     (1968)) and shrink wherever the rational entries cancel.
 
-    Row i < rank then holds a multiple of row i of the (reduced, if asked)
-    echelon form; the rows below are zero.  For a square nonsingular input,
-    det = (product of the pivots left in rows) · num / den.
+    Row i < rank then holds a multiple of row i of an echelon form; the rows
+    below are zero.  For a square nonsingular input, det = (product of the
+    pivots left in rows) · num / den.
     """
     m = len(rows)
     piv: list[int] = []
@@ -336,27 +339,56 @@ def _eliminate(rows: list[list[int]], ncols: int, p: int | None,
             inv = pow(pv, -1, p)
             prow = rows[r] = [x * inv % p for x in prow]
         tail = prow[c:]
-        for i in range(0 if reduced else r + 1, m):
+        for i in range(r + 1, m):
             row = rows[i]
             f = row[c]
-            if not f or i == r:
+            if not f:
                 continue
             if p is not None:
                 row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
                 continue
             g = gcd(pv, f)
             a, b = pv // g, f // g
-            # entries left of c are zero in the pivot row and, below it, in row i
-            lo, ptail = (0, prow) if i < r else (c, tail)
-            new = [a * x - b * y for x, y in zip(row[lo:], ptail)]
+            # entries left of c are zero in the pivot row and in row i
+            new = [a * x - b * y for x, y in zip(row[c:], tail)]
             h = gcd(*new)
             if h > 1:
                 new = [x // h for x in new]
                 num *= h
-            row[lo:] = new
+            row[c:] = new
             den *= a
         piv.append(c)
     return piv, num, den
+
+
+def _back_substitute(rows: list[list[int]], piv: list[int], p: int | None) -> None:
+    """Backward pass after `_eliminate`: clear the entries above each pivot,
+    last pivot first, with the same row updates.  Row i < rank then holds a
+    multiple of row i of the reduced echelon form (exactly that row over
+    F_p): the row space vector with these pivot coordinates is unique up to
+    scale."""
+    for r in range(len(piv) - 1, 0, -1):
+        c = piv[r]
+        prow = rows[r]
+        pv = prow[c]
+        tail = prow[c:]
+        for i in range(r):
+            row = rows[i]
+            f = row[c]
+            if not f:
+                continue
+            if p is not None:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+                continue
+            g = gcd(pv, f)
+            a, b = pv // g, f // g
+            # row i is zero left of its own pivot, the pivot row left of c
+            lo = piv[i]
+            new = [a * x for x in row[lo:c]] + [a * x - b * y for x, y in zip(row[c:], tail)]
+            h = gcd(*new)
+            if h > 1:
+                new = [x // h for x in new]
+            row[lo:] = new
 
 
 def rank(A: Matrix) -> int:
@@ -370,7 +402,8 @@ def rref(A: Matrix) -> tuple[Matrix, list[int]]:
     f = A.field
     n = A.ncols
     rows, _ = _int_rows(A)
-    piv, _, _ = _eliminate(rows, n, f.p, reduced=True)
+    piv = _eliminate(rows, n, f.p)[0]
+    _back_substitute(rows, piv, f.p)
     if f.p is None:
         zero = Fraction(0)
         rows = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, piv)]
@@ -379,15 +412,28 @@ def rref(A: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def nullspace(A: Matrix) -> Matrix:
-    """Right null space basis, returned as the columns of an n x k matrix."""
+    """Right null space basis, returned as the columns of an n x k matrix:
+    the basis vector of free column j has a 1 at j, zeros on the other free
+    columns and minus column j of the reduced echelon form on the pivots.
+    A full column rank input takes the forward pass only."""
     f = A.field
-    R, piv = rref(A)
-    free = [j for j in range(A.ncols) if j not in set(piv)]
+    n = A.ncols
+    rows, _ = _int_rows(A)
+    piv = _eliminate(rows, n, f.p)[0]
+    if len(piv) == n:
+        return Matrix._of(f, [()] * n, 0)
+    _back_substitute(rows, piv, f.p)
+    pivots = set(piv)
+    free = [j for j in range(n) if j not in pivots]
     zero, one = f.zero(), f.one()
-    rows = [[one if j == fv else zero for fv in free] for j in range(A.ncols)]
-    for i, pc in enumerate(piv):
-        rows[pc] = [f.neg(R.rows[i][fv]) for fv in free]
-    return Matrix._of(f, rows, len(free))
+    basis = [[one if j == fv else zero for fv in free] for j in range(n)]
+    p = f.p
+    for row, pc in zip(rows, piv):
+        if p is None:
+            basis[pc] = [Fraction(-row[fv], row[pc]) for fv in free]
+        else:
+            basis[pc] = [-row[fv] % p for fv in free]
+    return Matrix._of(f, basis, len(free))
 
 
 def solve(A: Matrix, b: Matrix) -> Matrix | None:

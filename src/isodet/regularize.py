@@ -21,10 +21,14 @@ absorbs the kernel components that the restricted problem cannot see.
 
 Each step treats a set of vectors as the columns of one matrix: a lift or a
 set of pairings is one product, and the last vectors of all chains come
-from one solve.  A chain of length 3 starts with a head, one of the 1x1
-blocks of the restriction.  The pairing systems of those chains share one
-coefficient matrix and those of all other chains another, so the
-next-to-last vectors take two solves, with one right-hand side per chain.
+from one solve in the coordinates of a basis K of ker M: z = K y with
+M^T K y = M d, a system in q = dim ker M unknowns.  K is the only
+elimination of M itself at each level: M is nonsingular iff K is empty,
+and the two-sided kernel is K times the kernel of M^T K.  A chain of
+length 3 starts with a head, one of the 1x1 blocks of the restriction.
+The pairing systems of those chains share one coefficient matrix and
+those of all other chains another, so the next-to-last vectors take two
+solves, with one right-hand side per chain.
 Each correction pass is one product update of all the vectors it fixes.
 """
 
@@ -124,13 +128,18 @@ def _decompose(G: Matrix) -> tuple[Matrix, list[range]]:
     """
     f = G.field
     n = G.nrows
-    if rank(G) == n:
+    K = nullspace(G)
+    q = K.ncols
+    if not q:
         return Matrix.identity(f, n), []
     GT = G.transpose()
+    GTK = GT * K
 
     # 1x1 singular blocks: the two-sided kernel splits off against the unit
-    # vectors that extend it to a basis.
-    K0 = nullspace(vstack(G, GT))
+    # vectors that extend it to a basis.  K is the nullspace basis whose
+    # last nonzero entries are 1s on the free columns of G, so K times the
+    # nullspace basis of G^T K is the one of [G; G^T], column for column.
+    K0 = K * nullspace(GTK)
     if K0.ncols:
         k = n - K0.ncols
         ones = [range(c, c + 1) for c in range(k, n)]
@@ -142,9 +151,7 @@ def _decompose(G: Matrix) -> tuple[Matrix, list[range]]:
         return hstack(_cols(I, idx) * W2, K0), spans + ones
 
     # Restrict to Y = {x : k^T G x = 0 for all k in ker G}.
-    K = nullspace(G)
-    q = K.ncols
-    Ymat = nullspace(K.transpose() * G)
+    Ymat = nullspace(GTK.transpose())
     if Ymat.ncols != n - q:
         raise RegularizationError("unexpected restriction dimension")
     WY, spansY = _decompose(Ymat.transpose() * G * Ymat)
@@ -173,9 +180,10 @@ def _decompose(G: Matrix) -> tuple[Matrix, list[range]]:
     # Chains from here on: h with a head, then the longer ones, then those
     # of length 2.  The true final vector of each stubbed chain is the
     # unique z with G^T z = G d and G z = 0, d its head or its deepest stub
-    # vector (unique because the two-sided kernel is 0).
+    # vector (unique because the two-sided kernel is 0).  With z = K y that
+    # is G^T K y = G d, a system in q unknowns.
     GD = _cols(GU, [*range(h), *(h + d for d in deepest)])
-    Z = _solve(vstack(GT, G), vstack(GD, Matrix.zeros(f, n, GD.ncols)), "chain end equation")
+    Z = K * _solve(GTK, GD, "chain end equation")
 
     # Remaining kernel directions are the ends of length-2 chains.
     rest = _greedy_extend(Z, K)

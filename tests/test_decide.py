@@ -19,6 +19,7 @@ from isodet import (
     direct_sum,
     frobenius,
     gamma,
+    inverse,
     jordan,
     odd_unipotent_counts,
     regularize,
@@ -29,6 +30,7 @@ from isodet import (
 )
 
 from helpers import (
+    known_sum,
     mat,
     random_nonsingular,
     random_rational,
@@ -301,6 +303,25 @@ class TestCertificates:
         Z2 = symplectic_unit(1)
         assert not verify_certificate(Z2, mat([[1, 0], [0, -1]]))
         assert verify_certificate(Matrix.identity(QQ, 2), mat([[1, 0], [0, -1]]))
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=repr)
+    @pytest.mark.parametrize("spec", ["J2+J3+G2", "J4+J2+J5+G1", "J2+J3+J1+G2", "J3+J3+J1+Z1"])
+    def test_matches_conjugated_sign_flip(self, field, spec):
+        # the certificate is S D S^{-1}, D = -1 on the first odd singular
+        # block of S^T M S and 1 elsewhere; the reference uses inverse(S)
+        M = known_sum(spec, field, seed=spec)[0]
+        reg = regularize(M)
+        sizes = reg.singular_sizes
+        first = next(i for i, s in enumerate(sizes) if s % 2)
+        start = reg.regular_part.nrows + sum(sizes[:first])
+        block = range(start, start + sizes[first])
+        n = M.nrows
+        D = Matrix(field, [[(-1 if i in block else 1) if i == j else 0 for j in range(n)]
+                           for i in range(n)])
+        S = reg.transform
+        cert = certificate_singular(M, reg)
+        assert cert == S * D * inverse(S)
+        assert verify_certificate(M, cert)
 
     def test_certificates_on_random_odd_singular(self):
         rng = random.Random(13)

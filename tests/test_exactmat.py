@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isodet import (
@@ -247,6 +247,39 @@ class TestKernelAgainstReference:
         assert (N.nrows, N.ncols) == (A.ncols, A.ncols - len(piv))
         assert all(x == 0 for r in ref_matmul(A, N) for x in r)
         assert len(ref_rref(N)[1]) == N.ncols
+
+    @staticmethod
+    def _ref_nullspace(A):
+        """The basis read off the reduced form: a 1 on each free column and
+        minus the reduced entries of that column on the pivots."""
+        f, n = A.field, A.ncols
+        rows, piv = ref_rref(A)
+        free = [j for j in range(n) if j not in piv]
+        basis = [[f.one() if j == fv else f.zero() for fv in free] for j in range(n)]
+        for row, pc in zip(rows, piv):
+            basis[pc] = [f.neg(row[fv]) for fv in free]
+        return Matrix(f, basis, ncols=len(free))
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields_and(matrices))
+    def test_nullspace_basis(self, A):
+        assert nullspace(A) == self._ref_nullspace(A)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fields_and(lambda f: st.integers(0, 4).flatmap(
+        lambda n: st.integers(n, n + 2).flatmap(lambda m: matrices(f, m, n)))))
+    def test_nullspace_full_column_rank(self, A):
+        assume(rank(A) == A.ncols)
+        N = nullspace(A)
+        assert (N.nrows, N.ncols) == (A.ncols, 0) and N == self._ref_nullspace(A)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_nullspace_basis_examples(self, field):
+        for A in (Matrix(field, [], ncols=3), Matrix.identity(field, 3),
+                  Matrix(field, [[1, 2], [3, 4], [5, 7]]), Matrix(field, [[0, 1, 2], [0, 2, 4]])):
+            assert nullspace(A) == self._ref_nullspace(A)
+        assert nullspace(Matrix(field, [], ncols=3)) == Matrix.identity(field, 3)
+        assert nullspace(Matrix.identity(field, 3)) == Matrix(field, [[]] * 3)
 
     @settings(max_examples=100, deadline=None)
     @given(fields_and(lambda f: st.tuples(matrices(f, max_dim=4), st.integers(0, 2), st.data())))
