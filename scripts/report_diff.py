@@ -6,8 +6,9 @@ For each tree a subprocess imports that tree's `src/isodet` and
 `fp-crosscheck`, `small-exhaustive`) for every seed, and dumps one JSON
 line per report: every `decide` report (verdict, singular sizes, rank
 sequence, counts, certificate, and the regularization's S and B) and, on
-`fp-crosscheck`, every `decide_gamma_shift` report.  The script then lists
-each field that differs between the trees and exits 1 if any does.
+`fp-crosscheck` and `q-regularize`, every `decide_gamma_shift` report.  The
+script then lists each field that differs between the trees and exits 1 if
+any does.
 
 Example (a second checkout of the parent commit in ../parent):
     python3 scripts/report_diff.py ../parent . --seeds 1,2,3
@@ -23,6 +24,8 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("q-regularize", "fp-crosscheck", "small-exhaustive")
+# the gamma route is dumped over F_p and over Q
+GAMMA_WORKLOADS = ("fp-crosscheck", "q-regularize")
 
 
 def _rows(M):
@@ -59,7 +62,7 @@ def dump(seeds: list[int]) -> None:
                 for it in row:
                     key = f"{workload}/{seed}/{it.key}:{it.spec}"
                     routes = [("decide", decide)]
-                    if workload == "fp-crosscheck":
+                    if workload in GAMMA_WORKLOADS:
                         routes.append(("gamma", decide_gamma_shift))
                     for route, fn in routes:
                         print(json.dumps({"key": key, "route": route, **_record(fn, it.matrix)}))

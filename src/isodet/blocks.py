@@ -13,8 +13,10 @@ from .exactmat import (
     Field,
     Matrix,
     Poly,
+    hstack,
     inverse,
     power_rank_sequence,
+    vstack,
 )
 
 
@@ -136,10 +138,8 @@ def skew_sum(A: Matrix, B: Matrix) -> Matrix:
     if A.field != B.field:
         raise ValueError("skew_sum over mixed fields")
     f = A.field
-    z = f.zero()
-    top = [[z] * A.ncols + list(rb) for rb in B.rows]
-    bot = [list(ra) + [z] * B.ncols for ra in A.rows]
-    return Matrix(f, top + bot, ncols=A.ncols + B.ncols)
+    return vstack(hstack(Matrix.zeros(f, B.nrows, A.ncols), B),
+                  hstack(A, Matrix.zeros(f, A.nrows, B.ncols)))
 
 
 def direct_sum(parts: list[Matrix], field: Field | None = None) -> Matrix:
@@ -152,14 +152,14 @@ def direct_sum(parts: list[Matrix], field: Field | None = None) -> Matrix:
     if any(not p.is_square for p in parts):
         raise ValueError("direct_sum needs square parts")
     n = sum(p.nrows for p in parts)
-    z = f.zero()
-    rows = []
+    # zero padding keeps each stored row in lowest terms over its denominator
+    rows, dens = [], []
     off = 0
     for p in parts:
-        for r in p.rows:
-            rows.append([z] * off + list(r) + [z] * (n - off - p.ncols))
+        rows += [(0,) * off + r + (0,) * (n - off - p.ncols) for r in p._rows]
+        dens += p._dens or ()
         off += p.nrows
-    return Matrix(f, rows, ncols=n)
+    return Matrix._of(f, rows, n, dens)
 
 
 def symplectic_unit(m: int, field: Field = QQ) -> Matrix:

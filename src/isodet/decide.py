@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count, product
+from math import lcm
 
 from .blocks import PolySpec, frobenius, reciprocal
 from .exactmat import (
@@ -139,15 +140,14 @@ def certificate_singular(M: Matrix, reg: RegularizationResult) -> Matrix:
     # I + (S E)(-2 E^T S^{-1}), and -2 E^T S^{-1} = W^T for the solution W
     # of S^T W = -2 E: one solve with a column per coordinate of the block
     S = reg.transform
-    minus_two = f.convert(-2)
-    rhs = Matrix._of(f, [[minus_two if i == start + j else f.zero() for j in range(width)]
+    minus_two = int(f.convert(-2))  # an integer over Q, a residue over F_p
+    rhs = Matrix._of(f, [[minus_two if i == start + j else 0 for j in range(width)]
                          for i in range(n)], width)
     W = solve(S.transpose(), rhs)
     if W is None:
         raise SingularMatrixError("certificate_singular: singular regularizing transform")
     P = S.submatrix(range(n), range(start, start + width)) * W.transpose()
-    one = f.one()
-    return Matrix._of(f, [r[:i] + (f.add(r[i], one),) + r[i + 1:] for i, r in enumerate(P.rows)], n)
+    return P + Matrix.identity(f, n)
 
 
 def verify_certificate(M: Matrix, S: Matrix) -> bool:
@@ -192,12 +192,25 @@ def decide(M: Matrix) -> DecisionReport:
 def _pencil_at(A: Matrix, B: Matrix, C: Matrix) -> Matrix:
     """A ⊗ I_k + B ⊗ C for a k x k matrix C, written out row by row: the
     pencil A + alpha*B at the point alpha that C represents."""
-    p = A.field.p
-    rows = [[b * c + a if i == j else b * c for a, b in zip(arow, brow) for j, c in enumerate(crow)]
-            for arow, brow in zip(A.rows, B.rows) for i, crow in enumerate(C.rows)]
+    f = A.field
+    p = f.p
+    ncols = A.ncols * C.ncols
     if p is not None:
-        rows = [[x % p for x in row] for row in rows]
-    return Matrix._of(A.field, rows, A.ncols * C.ncols)
+        return Matrix._of(f, [[(b * c + a if i == j else b * c) % p
+                               for a, b in zip(arow, brow) for j, c in enumerate(crow)]
+                              for arow, brow in zip(A._rows, B._rows)
+                              for i, crow in enumerate(C._rows)], ncols)
+    # row (r, i) over the lcm of the denominators of row r of A and of the
+    # product of row r of B with row i of C
+    rows, dens = [], []
+    for arow, brow, da, db in zip(A._rows, B._rows, A._dens, B._dens):
+        for i, (crow, dc) in enumerate(zip(C._rows, C._dens)):
+            d = lcm(da, db * dc)
+            sa, sb = d // da, d // (db * dc)
+            rows.append([b * c * sb + a * sa if i == j else b * c * sb
+                         for a, b in zip(arow, brow) for j, c in enumerate(crow)])
+            dens.append(d)
+    return Matrix._over(f, rows, dens, ncols)
 
 
 def _divides(h: Poly, g: Poly) -> bool:

@@ -5,20 +5,30 @@ with positive denominator) and canonical ints in [0, p) over F_p.  Every
 matrix and polynomial carries the `Field` that owns its entries; there is no
 floating point anywhere.
 
-Arithmetic runs on Python ints: over Q a row or column enters a kernel
-scaled by the lcm of its denominators, and a `Fraction` is built only for
-an output entry.  `rank`, `rref` (so `solve`, `inverse`), `nullspace` and
-`det` share one fraction-free elimination kernel: a forward pass,
-`_eliminate`, and a back substitution, `_back_substitute`, that runs only
-when a reduced form is asked for (`rref`, and `nullspace` when some column
-is free).
+Arithmetic runs on Python ints.  A `Matrix` over Q stores integer rows,
+each with one positive row denominator d and in lowest terms:
+gcd(d, *row) = 1, so a zero row has d = 1.  The form is unique, so `==`
+compares it as is.  A product brings the right factor to one common
+denominator L and takes integer dot products; a product, sum, scaling,
+transpose or column slice ends with one gcd per output row.  A `Fraction`
+is built only at the boundary: by `Matrix(field, rows)` from the given
+entries, and by `rows`, `row`, `col`, `[i, j]` and `to_lists`, which build
+the entries anew at each read (nothing is cached).  Over F_p the stored
+rows are the canonical residues themselves.
+
+`rank`, `rref` (so `solve`, `inverse`), `nullspace` and `det` share one
+fraction-free elimination kernel that takes the stored rows as they are: a
+forward pass, `_eliminate`, and a back substitution, `_back_substitute`,
+that runs only when a reduced form is asked for (`rref`, `solve`,
+`inverse`, and `nullspace` when some column is free).  Their outputs are
+read off the kernel's rows in the stored form, a row over its pivot entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 
@@ -139,55 +149,77 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
-def _scaled(vecs):
-    """Rational vectors as (integer vector, lcm of the denominators) pairs."""
-    out = []
-    for v in vecs:
-        dens = [x.denominator for x in v]
-        s = lcm(*dens)
-        if s == 1:
-            out.append(([x.numerator for x in v], 1))
-        else:
-            out.append(([x.numerator * (s // d) for x, d in zip(v, dens)], s))
-    return out
-
-
 class Matrix:
-    """Immutable dense matrix over a fixed field.  0x0 matrices are legal."""
+    """Immutable dense matrix over a fixed field.  0x0 matrices are legal.
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    `_rows` holds one tuple of ints per row and `_dens` the row
+    denominators over Q (None over F_p), in the stored form of the module
+    docstring: row i is `_rows[i] / _dens[i]` in lowest terms.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_dens")
 
     def __init__(self, field: Field, rows: Sequence[Sequence], ncols: int | None = None):
         conv = field.convert
+        rows = tuple(tuple(conv(x) for x in row) for row in rows)
         self.field = field
-        self.rows = tuple(tuple(conv(x) for x in row) for row in rows)
-        self.nrows = len(self.rows)
+        self.nrows = len(rows)
         if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
+            self.ncols = len(rows[0])
+            if any(len(r) != self.ncols for r in rows):
                 raise ValueError("ragged rows")
         else:
             self.ncols = 0 if ncols is None else ncols
+        if field.p is not None:
+            self._rows, self._dens = rows, None
+            return
+        # the lcm of a row's denominators leaves the row in lowest terms
+        self._dens = tuple(lcm(*(x.denominator for x in r)) for r in rows)
+        self._rows = tuple(tuple(x.numerator * (d // x.denominator) for x in r)
+                           for r, d in zip(rows, self._dens))
 
     @classmethod
-    def _of(cls, field: Field, rows: Iterable[Sequence], ncols: int) -> "Matrix":
-        """A matrix from rows whose entries are already canonical field elements."""
+    def _of(cls, field: Field, rows: Iterable[Sequence[int]], ncols: int,
+            dens: Sequence[int] | None = None) -> "Matrix":
+        """A matrix from rows already in the stored form; over Q, dens None
+        means every row denominator is 1."""
         M = object.__new__(cls)
         M.field = field
-        M.rows = tuple(map(tuple, rows))
-        M.nrows = len(M.rows)
+        M._rows = tuple(map(tuple, rows))
+        M.nrows = len(M._rows)
         M.ncols = ncols
+        if field.p is not None:
+            M._dens = None
+        else:
+            M._dens = (1,) * M.nrows if dens is None else tuple(dens)
         return M
+
+    @classmethod
+    def _over(cls, field: Field, rows: Iterable[Sequence[int]], dens: Iterable[int],
+              ncols: int) -> "Matrix":
+        """The matrix over Q whose row i is rows[i] / dens[i] (a nonzero
+        denominator of either sign), brought to the stored form by one gcd
+        per row."""
+        out, outd = [], []
+        for r, d in zip(rows, dens):
+            if d != 1:
+                g = gcd(d, *r)
+                if d < 0:
+                    g = -g
+                if g != 1:
+                    r = [x // g for x in r]
+                    d //= g
+            out.append(r)
+            outd.append(d)
+        return cls._of(field, out, ncols, outd)
 
     @staticmethod
     def zeros(field: Field, m: int, n: int) -> "Matrix":
-        z = field.zero()
-        return Matrix._of(field, [[z] * n for _ in range(m)], n)
+        return Matrix._of(field, [(0,) * n] * m, n)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return Matrix._of(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return Matrix._of(field, [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)], n)
 
     @staticmethod
     def from_cols(field: Field, cols: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
@@ -200,7 +232,7 @@ class Matrix:
         return self.nrows == self.ncols
 
     def is_zero(self) -> bool:
-        return all(self.field.is_zero(x) for row in self.rows for x in row)
+        return not any(map(any, self._rows))
 
     def __eq__(self, other):
         return (
@@ -208,35 +240,66 @@ class Matrix:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self._rows == other._rows
+            and self._dens == other._dens
         )
 
     __hash__ = None
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The entries as field elements, row by row; over Q built anew at
+        each read."""
+        if self._dens is None:
+            return self._rows
+        return tuple(map(self.row, range(self.nrows)))
 
     def row(self, i):
-        return self.rows[i]
+        r = self._rows[i]
+        if self._dens is None:
+            return r
+        d = self._dens[i]
+        return tuple(map(Fraction, r)) if d == 1 else tuple(Fraction(x, d) for x in r)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        x = self._rows[i][j]
+        return x if self._dens is None else Fraction(x, self._dens[i])
 
     def col(self, j):
-        return tuple(r[j] for r in self.rows)
+        return tuple(self[i, j] for i in range(self.nrows))
 
     def _entrywise(self, op, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix._of(self.field, [map(op, ra, rb) for ra, rb in zip(self.rows, other.rows)],
-                          self.ncols)
+        f = self.field
+        p = f.p
+        if p is not None:
+            return Matrix._of(f, [[x % p for x in map(op, ra, rb)]
+                                  for ra, rb in zip(self._rows, other._rows)], self.ncols)
+        rows, dens = [], []
+        for ra, rb, da, db in zip(self._rows, other._rows, self._dens, other._dens):
+            if da == db:
+                rows.append(list(map(op, ra, rb)))
+            else:
+                d = lcm(da, db)
+                sa, sb = d // da, d // db
+                rows.append([op(x * sa, y * sb) for x, y in zip(ra, rb)])
+                da = d
+            dens.append(da)
+        return Matrix._over(f, rows, dens, self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.add, other)
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(self.field.sub, other)
+        return self._entrywise(sub, other)
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix._of(self.field, [[neg(a) for a in r] for r in self.rows], self.ncols)
+        p = self.field.p
+        if p is None:  # negation keeps every row in lowest terms
+            return Matrix._of(self.field, [[-x for x in r] for r in self._rows], self.ncols,
+                              self._dens)
+        return Matrix._of(self.field, [[-x % p for x in r] for r in self._rows], self.ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -244,31 +307,44 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         f = self.field
-        cols = list(zip(*other.rows)) if other.nrows else [()] * other.ncols
         p = f.p
+        right, den = (other._rows, 1) if p is not None else _common(other)
+        cols = list(zip(*right)) if other.nrows else [()] * other.ncols
         if p is not None:
-            out = [[sum(map(mul, r, c)) % p for c in cols] for r in self.rows]
-        else:
-            right = _scaled(cols)
-            out = [[Fraction(sum(map(mul, r, c)), s * t) for c, t in right]
-                   for r, s in _scaled(self.rows)]
-        return Matrix._of(f, out, other.ncols)
+            return Matrix._of(f, [[sum(map(mul, r, c)) % p for c in cols] for r in self._rows],
+                              other.ncols)
+        return Matrix._over(f, [[sum(map(mul, r, c)) for c in cols] for r in self._rows],
+                            [d * den for d in self._dens], other.ncols)
 
     def scale(self, c) -> "Matrix":
-        fmul = self.field.mul
-        c = self.field.convert(c)
-        return Matrix._of(self.field, [[fmul(c, a) for a in r] for r in self.rows], self.ncols)
+        f = self.field
+        c = f.convert(c)
+        p = f.p
+        if p is not None:
+            return Matrix._of(f, [[c * x % p for x in r] for r in self._rows], self.ncols)
+        a, b = c.numerator, c.denominator
+        return Matrix._over(f, [[a * x for x in r] for r in self._rows],
+                            [d * b for d in self._dens], self.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(self.field, zip(*self.rows) if self.rows else [()] * self.ncols, self.nrows)
+        f = self.field
+        if f.p is not None:
+            return Matrix._of(f, zip(*self._rows) if self._rows else [()] * self.ncols, self.nrows)
+        rows, den = _common(self)
+        return Matrix._over(f, zip(*rows) if rows else [()] * self.ncols, [den] * self.ncols,
+                            self.nrows)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "Matrix":
-        ci = list(col_idx)
-        return Matrix._of(self.field, [[self.rows[i][j] for j in ci] for i in row_idx], len(ci))
+        ri, ci = list(row_idx), list(col_idx)
+        rows = [[r[j] for j in ci] for r in map(self._rows.__getitem__, ri)]
+        if self._dens is None:
+            return Matrix._of(self.field, rows, len(ci))
+        # dropping columns can leave a common factor in a row
+        return Matrix._over(self.field, rows, [self._dens[i] for i in ri], len(ci))
 
     def apply_to_vec(self, v: Sequence):
         """Matrix-vector product A·v with v a plain coefficient sequence."""
-        return (self * Matrix._of(self.field, [(x,) for x in v], 1)).col(0)
+        return (self * Matrix(self.field, [(x,) for x in v], ncols=1)).col(0)
 
     def to_lists(self):
         return [list(r) for r in self.rows]
@@ -282,25 +358,48 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols}: [{body}])"
 
 
+def _common(A: Matrix) -> tuple[Sequence[Sequence[int]], int]:
+    """The rows of A over Q as integers over one denominator, the lcm of its
+    row denominators, and that denominator."""
+    den = lcm(*A._dens)
+    if den == 1:
+        return A._rows, 1
+    rows = []
+    for r, d in zip(A._rows, A._dens):
+        s = den // d
+        rows.append(r if s == 1 else [x * s for x in r])
+    return rows, den
+
+
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:
     if top.ncols != bottom.ncols or top.field != bottom.field:
         raise ValueError("vstack mismatch")
-    return Matrix._of(top.field, top.rows + bottom.rows, top.ncols)
+    dens = None if top._dens is None else top._dens + bottom._dens
+    return Matrix._of(top.field, top._rows + bottom._rows, top.ncols, dens)
 
 
 def hstack(left: Matrix, right: Matrix) -> Matrix:
     if left.nrows != right.nrows or left.field != right.field:
         raise ValueError("hstack mismatch")
-    return Matrix._of(left.field, [a + b for a, b in zip(left.rows, right.rows)],
-                      left.ncols + right.ncols)
+    ncols = left.ncols + right.ncols
+    if left._dens is None:
+        return Matrix._of(left.field, [a + b for a, b in zip(left._rows, right._rows)], ncols)
+    # over the lcm of the two denominators the joined row stays in lowest terms
+    rows, dens = [], []
+    for a, b, da, db in zip(left._rows, right._rows, left._dens, right._dens):
+        if da != db:
+            d = lcm(da, db)
+            sa, sb = d // da, d // db
+            a, b, da = [x * sa for x in a], [x * sb for x in b], d
+        rows.append([*a, *b])
+        dens.append(da)
+    return Matrix._of(left.field, rows, ncols, dens)
 
 
 def _int_rows(A: Matrix) -> tuple[list[list[int]], int]:
-    """A's rows as mutable int lists, and the product of the row scales."""
-    if A.field.p is not None:
-        return [list(r) for r in A.rows], 1
-    pairs = _scaled(A.rows)
-    return [r for r, _ in pairs], prod(s for _, s in pairs)
+    """A copy of A's stored rows as mutable int lists, and the product of
+    the row denominators (1 over F_p)."""
+    return [list(r) for r in A._rows], 1 if A._dens is None else prod(A._dens)
 
 
 def _eliminate(rows: list[list[int]], ncols: int, p: int | None) -> tuple[list[int], int, int]:
@@ -391,24 +490,35 @@ def _back_substitute(rows: list[list[int]], piv: list[int], p: int | None) -> No
             row[lo:] = new
 
 
+def _pivots(A: Matrix) -> list[int]:
+    """The pivot columns of A's echelon form, from the forward pass alone."""
+    rows, _ = _int_rows(A)
+    return _eliminate(rows, A.ncols, A.field.p)[0]
+
+
+def _reduced(A: Matrix) -> tuple[list[list[int]], list[int]]:
+    """A's rows after the forward and the backward pass, and the pivot
+    columns: row i < rank is a multiple of row i of the reduced form."""
+    rows, _ = _int_rows(A)
+    piv = _eliminate(rows, A.ncols, A.field.p)[0]
+    _back_substitute(rows, piv, A.field.p)
+    return rows, piv
+
+
 def rank(A: Matrix) -> int:
     """Rank over the matrix's field, by exact fraction-free elimination."""
-    rows, _ = _int_rows(A)
-    return len(_eliminate(rows, A.ncols, A.field.p)[0])
+    return len(_pivots(A))
 
 
 def rref(A: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     f = A.field
-    n = A.ncols
-    rows, _ = _int_rows(A)
-    piv = _eliminate(rows, n, f.p)[0]
-    _back_substitute(rows, piv, f.p)
-    if f.p is None:
-        zero = Fraction(0)
-        rows = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, piv)]
-        rows += [[zero] * n for _ in range(A.nrows - len(piv))]
-    return Matrix._of(f, rows, n), piv
+    rows, piv = _reduced(A)
+    if f.p is not None:
+        return Matrix._of(f, rows, A.ncols), piv
+    # each row over its pivot entry; the rows below the rank are zero
+    dens = [row[c] for row, c in zip(rows, piv)] + [1] * (A.nrows - len(piv))
+    return Matrix._over(f, rows, dens, A.ncols), piv
 
 
 def nullspace(A: Matrix) -> Matrix:
@@ -425,15 +535,32 @@ def nullspace(A: Matrix) -> Matrix:
     _back_substitute(rows, piv, f.p)
     pivots = set(piv)
     free = [j for j in range(n) if j not in pivots]
-    zero, one = f.zero(), f.one()
-    basis = [[one if j == fv else zero for fv in free] for j in range(n)]
+    basis = [[int(j == fv) for fv in free] for j in range(n)]
     p = f.p
-    for row, pc in zip(rows, piv):
-        if p is None:
-            basis[pc] = [Fraction(-row[fv], row[pc]) for fv in free]
-        else:
+    if p is not None:
+        for row, pc in zip(rows, piv):
             basis[pc] = [-row[fv] % p for fv in free]
-    return Matrix._of(f, basis, len(free))
+        return Matrix._of(f, basis, len(free))
+    dens = [1] * n
+    for row, pc in zip(rows, piv):
+        basis[pc] = [-row[fv] for fv in free]
+        dens[pc] = row[pc]
+    return Matrix._over(f, basis, dens, len(free))
+
+
+def _solution(f: Field, rows: list[list[int]], piv: list[int], n: int, k: int) -> Matrix:
+    """The solution of A X = b with the free variables zero, read off the
+    reduced rows of a consistent [A | b], A with n columns and b with k:
+    row piv[i] of X is the part of row i right of column n, over its pivot
+    entry."""
+    out = [[0] * k for _ in range(n)]
+    dens = [1] * n
+    for row, c in zip(rows, piv):
+        out[c] = row[n:]
+        dens[c] = row[c]
+    if f.p is not None:  # the pivot entries are 1
+        return Matrix._of(f, out, k)
+    return Matrix._over(f, out, dens, k)
 
 
 def solve(A: Matrix, b: Matrix) -> Matrix | None:
@@ -441,14 +568,11 @@ def solve(A: Matrix, b: Matrix) -> Matrix | None:
     if A.nrows != b.nrows:
         raise ValueError("solve shape mismatch")
     n = A.ncols
-    R, piv = rref(hstack(A, b))
+    rows, piv = _reduced(hstack(A, b))
     # a pivot in the augmented part means the system is inconsistent
     if piv and piv[-1] >= n:
         return None
-    rows = [[A.field.zero()] * b.ncols for _ in range(n)]
-    for i, pc in enumerate(piv):
-        rows[pc] = R.rows[i][n:]
-    return Matrix._of(A.field, rows, b.ncols)
+    return _solution(A.field, rows, piv, n, b.ncols)
 
 
 def inverse(A: Matrix) -> Matrix:
@@ -458,10 +582,10 @@ def inverse(A: Matrix) -> Matrix:
     n = A.nrows
     if n == 0:
         return A
-    R, piv = rref(hstack(A, Matrix.identity(A.field, n)))
+    rows, piv = _reduced(hstack(A, Matrix.identity(A.field, n)))
     if piv != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return R.submatrix(range(n), range(n, 2 * n))
+    return _solution(A.field, rows, piv, n, n)
 
 
 def det(A: Matrix):
@@ -664,7 +788,7 @@ def power_rank_sequence(A: Matrix, mu, kmax: int) -> list[int]:
     f = A.field
     n = A.nrows
     mu = f.convert(mu)
-    P = Matrix._of(f, [r[:i] + (f.sub(r[i], mu),) + r[i + 1:] for i, r in enumerate(A.rows)], n)
+    P = A if f.is_zero(mu) else A - Matrix.identity(f, n).scale(mu)
     seq = [n]
     cur: Matrix | None = None
     for _ in range(kmax):

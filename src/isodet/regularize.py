@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
 from .blocks import direct_sum, jordan
-from .exactmat import Matrix, hstack, nullspace, rank, rref, solve, vstack
+from .exactmat import Matrix, _pivots, hstack, nullspace, rank, solve, vstack
 
 
 class RegularizationError(AssertionError):
@@ -92,8 +92,7 @@ def _cols(A: Matrix, idx) -> Matrix:
 
 def _indicator(f, nrows: int, hits: list) -> Matrix:
     """The nrows x len(hits) matrix with ones in the rows hits[j] of column j."""
-    z, o = f.zero(), f.one()
-    return Matrix._of(f, [[o if i in hit else z for hit in hits] for i in range(nrows)], len(hits))
+    return Matrix._of(f, [[int(i in hit) for hit in hits] for i in range(nrows)], len(hits))
 
 
 def _solve(A: Matrix, rhs: Matrix, what: str) -> Matrix:
@@ -110,11 +109,10 @@ def _greedy_extend(base: Matrix, pool: Matrix) -> list[int]:
     """Indices of the pool columns that extend the base columns to a larger
     independent set, in order.
 
-    Column j of [base | pool] is a pivot of its reduced row echelon form
-    exactly when it is independent of columns 0..j-1: the greedy choice.
+    Column j of [base | pool] is a pivot of its echelon form exactly when
+    it is independent of columns 0..j-1: the greedy choice.
     """
-    _, piv = rref(hstack(base, pool))
-    return [j - base.ncols for j in piv if j >= base.ncols]
+    return [j - base.ncols for j in _pivots(hstack(base, pool)) if j >= base.ncols]
 
 
 def _decompose(G: Matrix) -> tuple[Matrix, list[range]]:

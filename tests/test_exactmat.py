@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +22,7 @@ from isodet import (
     rank,
 )
 from isodet.blocks import gamma, jordan, direct_sum
-from isodet.exactmat import MAX_MODULUS, nullspace, rref, solve
+from isodet.exactmat import MAX_MODULUS, hstack, nullspace, rref, solve, vstack
 
 from helpers import mat, ref_det, ref_matmul, ref_rref
 
@@ -365,3 +366,110 @@ class TestKernelAgainstReference:
         T = Z.transpose()
         assert (T.nrows, T.ncols) == (n, m)
         assert T == Matrix.zeros(field, n, m) and T.transpose() == Z
+
+
+# --- entrywise and structural ops against per-entry arithmetic -------------
+
+
+@st.composite
+def ref_matrices(draw, field, m=None, n=None, max_dim=4):
+    """(A, rows of A as field elements): each row plain (over Q with mixed
+    denominators), a plain row times a common factor, or zero."""
+    m = draw(st.integers(0, max_dim)) if m is None else m
+    n = draw(st.integers(0, max_dim)) if n is None else n
+    rows = []
+    for _ in range(m):
+        row = [field.convert(x) for x in draw(st.lists(entries(field), min_size=n, max_size=n))]
+        kind = draw(st.sampled_from(["plain", "factor", "zero"]))
+        if kind == "factor":
+            k = field.convert(draw(st.integers(2, 6)))
+            row = [field.mul(k, x) for x in row]
+        elif kind == "zero":
+            row = [field.zero()] * n
+        rows.append(row)
+    return Matrix(field, rows, ncols=n), rows
+
+
+def is_canonical(f, x):
+    if f.p is not None:
+        return type(x) is int and 0 <= x < f.p
+    return type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+def assert_matrix(M, rows, ncols):
+    """M has exactly these entries, reads them back as canonical field
+    elements through every accessor, keeps its stored rows in lowest terms,
+    and equals the matrix built from the entries."""
+    f = M.field
+    rows = tuple(map(tuple, rows))
+    assert (M.nrows, M.ncols) == (len(rows), ncols)
+    assert M.rows == rows and M.to_lists() == [list(r) for r in rows]
+    assert [M.col(j) for j in range(ncols)] == [tuple(r[j] for r in rows) for j in range(ncols)]
+    assert [[M[i, j] for j in range(ncols)] for i in range(len(rows))] == [list(r) for r in rows]
+    reads = [*(x for r in M.rows for x in r), *(x for r in M.to_lists() for x in r),
+             *(x for j in range(ncols) for x in M.col(j)),
+             *(M[i, j] for i in range(len(rows)) for j in range(ncols))]
+    assert all(is_canonical(f, x) for x in reads)
+    if f.p is None:
+        assert all(d > 0 and gcd(d, *r) == 1 for r, d in zip(M._rows, M._dens))
+    assert M == Matrix(f, rows, ncols=ncols)
+
+
+def same_shape_pairs(f):
+    return st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+        lambda mn: st.tuples(ref_matrices(f, *mn), ref_matrices(f, *mn), entries(f)))
+
+
+class TestEntrywiseAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(fields_and(same_shape_pairs))
+    def test_add_sub_neg_scale(self, args):
+        (A, a), (B, b), c = args
+        f, n = A.field, A.ncols
+        c = f.convert(c)
+        assert_matrix(A, a, n)
+        assert_matrix(A + B, [[f.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], n)
+        assert_matrix(A - B, [[f.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], n)
+        assert_matrix(-A, [[f.neg(x) for x in r] for r in a], n)
+        assert_matrix(A.scale(c), [[f.mul(c, x) for x in r] for r in a], n)
+        # equal matrices built by different routes
+        assert (A == B) == (a == b)
+        assert (A + B) - B == A == -(-A)
+        assert A - A == Matrix.zeros(f, A.nrows, n) == A.scale(0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fields_and(lambda f: st.tuples(ref_matrices(f), st.data())))
+    def test_transpose_submatrix_stacks(self, args):
+        (A, a), data = args
+        f, m, n = A.field, A.nrows, A.ncols
+        assert_matrix(A.transpose(), [[r[j] for r in a] for j in range(n)], m)
+        assert A.transpose().transpose() == A
+        ri = data.draw(st.lists(st.integers(0, m - 1), max_size=4)) if m else []
+        ci = data.draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []
+        assert_matrix(A.submatrix(ri, ci), [[a[i][j] for j in ci] for i in ri], len(ci))
+        R, r = data.draw(ref_matrices(f, m=m))
+        assert_matrix(hstack(A, R), [x + y for x, y in zip(a, r)], n + R.ncols)
+        V, v = data.draw(ref_matrices(f, n=n))
+        assert_matrix(vstack(A, V), a + v, n)
+        assert hstack(A, R).submatrix(range(m), range(n)) == A
+        assert vstack(A, V).submatrix(range(m), range(n)) == A
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_empty_shapes(self, field):
+        for m, n in ((0, 0), (0, 3), (3, 0)):
+            Z = Matrix.zeros(field, m, n)
+            assert_matrix(Z + Z, [[]] * m if m else [], n)
+            assert_matrix(-Z.scale(2), [[]] * m if m else [], n)
+            assert_matrix(Z.transpose(), [[]] * n if n else [], m)
+            assert_matrix(hstack(Z, Z), [[]] * m if m else [], 2 * n)
+            assert_matrix(vstack(Z, Z), [[]] * (2 * m) if m else [], n)
+            assert Z == Matrix(field, [[]] * m if m else [], ncols=n)
+
+    def test_lowest_terms_across_routes(self):
+        assert Matrix(QQ, [[2, 4]]).scale(Fraction(1, 4)) == Matrix(QQ, [["1/2", 1]])
+        half = Matrix(QQ, [["1/2", "1/2"]])
+        assert half + half == Matrix(QQ, [[1, 1]])
+        assert Matrix(QQ, [["1/2", "1/3"]]).submatrix([0], [0, 0]) == half.scale(2).scale("1/2")
+        assert hstack(half, Matrix(QQ, [["1/3"]])) == Matrix(QQ, [["3/6", "1/2", "2/6"]])
+        assert Matrix(QQ, [[2, "1/2"]]).transpose() == Matrix(QQ, [[2], ["1/2"]])
+        assert Matrix(QQ, [[1, 2], [3, 4]]) != Matrix(QQ, [[1, 2], [3, 5]])
