@@ -13,8 +13,9 @@ from .exactmat import (
     Field,
     Matrix,
     Poly,
+    direct_sum,  # defined next to hstack/vstack, also served as blocks.direct_sum
     hstack,
-    inverse,
+    inverse_times,
     power_rank_sequence,
     vstack,
 )
@@ -79,7 +80,7 @@ def gamma(r: int, field: Field = QQ) -> Matrix:
         rows.append(row)
     G = Matrix(field, rows)
     eig = field.one() if r % 2 == 1 else field.neg(field.one())
-    cosq = inverse(G.transpose()) * G
+    cosq = inverse_times(G.transpose(), G, "gamma")
     seq = power_rank_sequence(cosq, eig, r)
     if seq != list(range(r, -1, -1)):
         raise AssertionError(f"gamma({r}) failed its cosquare self-check: {seq}")
@@ -140,26 +141,6 @@ def skew_sum(A: Matrix, B: Matrix) -> Matrix:
     f = A.field
     return vstack(hstack(Matrix.zeros(f, B.nrows, A.ncols), B),
                   hstack(A, Matrix.zeros(f, A.nrows, B.ncols)))
-
-
-def direct_sum(parts: list[Matrix], field: Field | None = None) -> Matrix:
-    """Block diagonal sum; the empty list gives the 0x0 matrix."""
-    if not parts:
-        return Matrix(field if field is not None else QQ, [], ncols=0)
-    f = parts[0].field
-    if any(p.field != f for p in parts):
-        raise ValueError("direct_sum over mixed fields")
-    if any(not p.is_square for p in parts):
-        raise ValueError("direct_sum needs square parts")
-    n = sum(p.nrows for p in parts)
-    # zero padding keeps each stored row in lowest terms over its denominator
-    rows, dens = [], []
-    off = 0
-    for p in parts:
-        rows += [(0,) * off + r + (0,) * (n - off - p.ncols) for r in p._rows]
-        dens += p._dens or ()
-        off += p.nrows
-    return Matrix._of(f, rows, n, dens)
 
 
 def symplectic_unit(m: int, field: Field = QQ) -> Matrix:

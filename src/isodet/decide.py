@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count, product
-from math import lcm
 
 from .blocks import PolySpec, frobenius, reciprocal
 from .exactmat import (
@@ -28,11 +27,10 @@ from .exactmat import (
     Poly,
     SingularMatrixError,
     det,
-    hstack,
+    inverse_times,
+    kron,
     power_rank_sequence,
     rank,
-    rref,
-    solve,
 )
 from .regularize import RegularizationResult, regularize
 
@@ -107,10 +105,7 @@ def _count_step(A: Matrix, C: Matrix, k: int, stage: str):
             raise SingularMatrixError(f"{stage}: singular {m}x{m} matrix")
         r = [n] * (n + 2)
     else:
-        R, piv = rref(hstack(A, C))
-        if piv[:m] != list(range(m)):
-            raise SingularMatrixError(f"{stage}: singular {m}x{m} matrix")
-        P = R.submatrix(range(m), range(m, m + C.ncols))
+        P = inverse_times(A, C, stage)
         r = [x // k for x in power_rank_sequence(P, A.field.zero(), n + 1)]
     return tuple(r), _block_counts(r, (n - 1) // 2)
 
@@ -140,19 +135,16 @@ def certificate_singular(M: Matrix, reg: RegularizationResult) -> Matrix:
     # I + (S E)(-2 E^T S^{-1}), and -2 E^T S^{-1} = W^T for the solution W
     # of S^T W = -2 E: one solve with a column per coordinate of the block
     S = reg.transform
-    minus_two = int(f.convert(-2))  # an integer over Q, a residue over F_p
-    rhs = Matrix._of(f, [[minus_two if i == start + j else 0 for j in range(width)]
-                         for i in range(n)], width)
-    W = solve(S.transpose(), rhs)
-    if W is None:
-        raise SingularMatrixError("certificate_singular: singular regularizing transform")
-    P = S.submatrix(range(n), range(start, start + width)) * W.transpose()
-    return P + Matrix.identity(f, n)
+    block = range(start, start + width)
+    identity = Matrix.identity(f, n)
+    W = inverse_times(S.transpose(), identity.submatrix(range(n), block).scale(-2),
+                      "certificate_singular")
+    return S.submatrix(range(n), block) * W.transpose() + identity
 
 
 def verify_certificate(M: Matrix, S: Matrix) -> bool:
     """True iff S is an isometry of M with determinant -1 (so nonsingular)."""
-    if not (M.is_square and S.is_square) or M.nrows != S.nrows:
+    if not (M.is_square and S.is_square) or M.nrows != S.nrows or M.field != S.field:
         return False
     if S.transpose() * M * S != M:
         return False
@@ -187,30 +179,6 @@ def decide(M: Matrix) -> DecisionReport:
         certificate=certificate_singular(M, reg) if odd_singular else None,
         regularization=reg,
     )
-
-
-def _pencil_at(A: Matrix, B: Matrix, C: Matrix) -> Matrix:
-    """A ⊗ I_k + B ⊗ C for a k x k matrix C, written out row by row: the
-    pencil A + alpha*B at the point alpha that C represents."""
-    f = A.field
-    p = f.p
-    ncols = A.ncols * C.ncols
-    if p is not None:
-        return Matrix._of(f, [[(b * c + a if i == j else b * c) % p
-                               for a, b in zip(arow, brow) for j, c in enumerate(crow)]
-                              for arow, brow in zip(A._rows, B._rows)
-                              for i, crow in enumerate(C._rows)], ncols)
-    # row (r, i) over the lcm of the denominators of row r of A and of the
-    # product of row r of B with row i of C
-    rows, dens = [], []
-    for arow, brow, da, db in zip(A._rows, B._rows, A._dens, B._dens):
-        for i, (crow, dc) in enumerate(zip(C._rows, C._dens)):
-            d = lcm(da, db * dc)
-            sa, sb = d // da, d // (db * dc)
-            rows.append([b * c * sb + a * sa if i == j else b * c * sb
-                         for a, b in zip(arow, brow) for j, c in enumerate(crow)])
-            dens.append(d)
-    return Matrix._over(f, rows, dens, ncols)
 
 
 def _divides(h: Poly, g: Poly) -> bool:
@@ -291,19 +259,21 @@ def decide_gamma_shift(M: Matrix) -> DecisionReport:
     if n == 0:
         return DecisionReport(True, Method.GAMMA_SHIFT, (), (), ())
     MT = M.transpose()
+    lifted = None  # M^T ⊗ I_k, built once per degree: points come in increasing degree
     roots = 0  # weights of the zeros found; D = 0 once they exceed n
     for g, weight, usable in _pencil_points(f):
         k = g.degree
+        if lifted is None or lifted.nrows != n * k:
+            lifted = kron(MT, Matrix.identity(f, k))
         C = frobenius(PolySpec(g, 1))
-        shifted = _pencil_at(MT, M, C)  # M^T + alpha*M
+        shifted = lifted + kron(M, C)  # M^T + alpha*M
         if rank(shifted) < n * k:
             roots += weight
             if roots > n:
                 return DecisionReport(False, Method.GAMMA_SHIFT, (), (), ())
         elif usable:
             break
-    # (M - M^T) ⊗ I_k, through the same realisation with C = 0
-    rhs = _pencil_at(M - MT, M, Matrix.zeros(f, k, k))
+    rhs = kron(M - MT, Matrix.identity(f, k))
     r, counts = _count_step(shifted, rhs, k, "decide_gamma_shift")
     return DecisionReport(
         all_det_one=all(c == 0 for c in counts),

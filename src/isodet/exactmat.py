@@ -14,14 +14,17 @@ transpose or column slice ends with one gcd per output row.  A `Fraction`
 is built only at the boundary: by `Matrix(field, rows)` from the given
 entries, and by `rows`, `row`, `col`, `[i, j]` and `to_lists`, which build
 the entries anew at each read (nothing is cached).  Over F_p the stored
-rows are the canonical residues themselves.
+rows are the canonical residues themselves.  This module is the only one
+that reads or builds the stored form; the others use the public
+operations, among them `hstack`, `vstack`, `direct_sum` and `kron`.
 
-`rank`, `rref` (so `solve`, `inverse`), `nullspace` and `det` share one
-fraction-free elimination kernel that takes the stored rows as they are: a
-forward pass, `_eliminate`, and a back substitution, `_back_substitute`,
-that runs only when a reduced form is asked for (`rref`, `solve`,
-`inverse`, and `nullspace` when some column is free).  Their outputs are
-read off the kernel's rows in the stored form, a row over its pivot entry.
+`rank`, `rref`, `solve`, `inverse_times` (A^{-1} C, so `inverse`),
+`nullspace` and `det` share one fraction-free elimination kernel that
+takes the stored rows as they are: a forward pass, `_eliminate`, and a
+back substitution, `_back_substitute`, that runs only when a reduced form
+is asked for (`rref`, `solve`, `inverse_times`, and `nullspace` when some
+column is free).  Their outputs are read off the kernel's rows in the
+stored form, a row over its pivot entry.
 """
 
 from __future__ import annotations
@@ -221,12 +224,6 @@ class Matrix:
     def identity(field: Field, n: int) -> "Matrix":
         return Matrix._of(field, [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)], n)
 
-    @staticmethod
-    def from_cols(field: Field, cols: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
-        cols = list(cols)
-        rows = list(zip(*cols, strict=True)) if cols else [()] * (nrows or 0)
-        return Matrix(field, rows, ncols=len(cols))
-
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -304,9 +301,10 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         f = self.field
+        if self.ncols != other.nrows or f != other.field:
+            raise ValueError(f"shape or field mismatch {f!r} {self.nrows}x{self.ncols}"
+                             f" * {other.field!r} {other.nrows}x{other.ncols}")
         p = f.p
         right, den = (other._rows, 1) if p is not None else _common(other)
         cols = list(zip(*right)) if other.nrows else [()] * other.ncols
@@ -394,6 +392,42 @@ def hstack(left: Matrix, right: Matrix) -> Matrix:
         rows.append([*a, *b])
         dens.append(da)
     return Matrix._of(left.field, rows, ncols, dens)
+
+
+def direct_sum(parts: list[Matrix], field: Field | None = None) -> Matrix:
+    """Block diagonal sum; the empty list gives the 0x0 matrix."""
+    if not parts:
+        return Matrix(field if field is not None else QQ, [], ncols=0)
+    f = parts[0].field
+    if any(p.field != f for p in parts):
+        raise ValueError("direct_sum over mixed fields")
+    if any(not p.is_square for p in parts):
+        raise ValueError("direct_sum needs square parts")
+    n = sum(p.nrows for p in parts)
+    # zero padding keeps each stored row in lowest terms over its denominator
+    rows, dens = [], []
+    off = 0
+    for p in parts:
+        rows += [(0,) * off + r + (0,) * (n - off - p.ncols) for r in p._rows]
+        dens += p._dens or ()
+        off += p.nrows
+    return Matrix._of(f, rows, n, dens)
+
+
+def kron(A: Matrix, B: Matrix) -> Matrix:
+    """The Kronecker product A ⊗ B: row (r, i) holds a·row i of B for each
+    entry a of row r of A."""
+    f = A.field
+    if f != B.field:
+        raise ValueError("kron over mixed fields")
+    ncols = A.ncols * B.ncols
+    p = f.p
+    if p is not None:
+        return Matrix._of(f, [[a * b % p for a in ra for b in rb]
+                              for ra in A._rows for rb in B._rows], ncols)
+    # two rows in lowest terms can give one that is not: (2)/3 ⊗ (3)/2 = (6)/6
+    return Matrix._over(f, [[a * b for a in ra for b in rb] for ra in A._rows for rb in B._rows],
+                        [da * db for da in A._dens for db in B._dens], ncols)
 
 
 def _int_rows(A: Matrix) -> tuple[list[list[int]], int]:
@@ -575,17 +609,21 @@ def solve(A: Matrix, b: Matrix) -> Matrix | None:
     return _solution(A.field, rows, piv, n, b.ncols)
 
 
+def inverse_times(A: Matrix, C: Matrix, stage: str) -> Matrix:
+    """A^{-1} C for a square A, read off one reduced elimination of [A | C];
+    a singular A raises SingularMatrixError naming the caller's stage."""
+    n = A.nrows
+    if not A.is_square or C.nrows != n:
+        raise ValueError(f"{stage}: A^-1 C needs a square A and C with its rows")
+    rows, piv = _reduced(hstack(A, C))
+    if piv != list(range(n)):
+        raise SingularMatrixError(f"{stage}: singular {n}x{n} matrix")
+    return _solution(A.field, rows, piv, n, C.ncols)
+
+
 def inverse(A: Matrix) -> Matrix:
     """Exact two-sided inverse via Gauss-Jordan; raises SingularMatrixError."""
-    if not A.is_square:
-        raise ValueError("inverse of a non-square matrix")
-    n = A.nrows
-    if n == 0:
-        return A
-    rows, piv = _reduced(hstack(A, Matrix.identity(A.field, n)))
-    if piv != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return _solution(A.field, rows, piv, n, n)
+    return inverse_times(A, Matrix.identity(A.field, A.nrows), "inverse")
 
 
 def det(A: Matrix):

@@ -37,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
-from .blocks import direct_sum, jordan
-from .exactmat import Matrix, _pivots, hstack, nullspace, rank, solve, vstack
+from .blocks import jordan
+from .exactmat import Matrix, _pivots, direct_sum, hstack, nullspace, rank, solve, vstack
 
 
 class RegularizationError(AssertionError):
@@ -92,7 +92,7 @@ def _cols(A: Matrix, idx) -> Matrix:
 
 def _indicator(f, nrows: int, hits: list) -> Matrix:
     """The nrows x len(hits) matrix with ones in the rows hits[j] of column j."""
-    return Matrix._of(f, [[int(i in hit) for hit in hits] for i in range(nrows)], len(hits))
+    return Matrix(f, [[int(i in hit) for hit in hits] for i in range(nrows)], ncols=len(hits))
 
 
 def _solve(A: Matrix, rhs: Matrix, what: str) -> Matrix:

@@ -76,7 +76,7 @@ def known_sum(spec: str, field=QQ, seed=0):
 
 def _column_space_basis(f, cols_matrix, n):
     R, piv = rref(cols_matrix.transpose())
-    return Matrix.from_cols(f, [R.row(i) for i in range(len(piv))], nrows=n)
+    return Matrix(f, [R.row(i) for i in range(len(piv))], ncols=n).transpose()
 
 
 def filtration_sizes(M: Matrix) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ from isodet import (
     NoOddBlockError,
     Poly,
     PolySpec,
+    RegularizationResult,
     SingularMatrixError,
     certificate_singular,
     decide,
@@ -140,7 +141,9 @@ class TestOddUnipotentCounts:
 
     @pytest.mark.parametrize("rows", [[[0]], [[1, 1], [1, 1]], [[0, 0], [1, 0]]])
     def test_singular_raises(self, rows):
-        with pytest.raises(SingularMatrixError, match="odd_unipotent_counts"):
+        # the first two reach the A^{-1}C read, the third the rank check
+        n = len(rows)
+        with pytest.raises(SingularMatrixError, match=f"^odd_unipotent_counts: singular {n}x{n}"):
             odd_unipotent_counts(mat(rows))
 
 
@@ -168,6 +171,20 @@ class TestGammaShift:
             n = rng.choice([1, 2, 3, 4])
             M = random_rational(rng, n, 3)
             assert decide(M).all_det_one == decide_gamma_shift(M).all_det_one
+
+    def test_singular_shift_names_stage(self, monkeypatch):
+        # a point test that passed a singular pencil value would hand it to
+        # the count step, whose A^{-1}C read names the route
+        d = importlib.import_module("isodet.decide")
+        real_rank, calls = d.rank, []
+
+        def first_full(A):
+            calls.append(A)
+            return A.nrows if len(calls) == 1 else real_rank(A)
+
+        monkeypatch.setattr(d, "rank", first_full)
+        with pytest.raises(SingularMatrixError, match="^decide_gamma_shift: singular 1x1 matrix$"):
+            decide_gamma_shift(mat([[0]]))
 
     def test_extension_shift_over_f3(self):
         # the pencil vanishes at 0, 1 and -1, every point of F_3, yet is not
@@ -297,6 +314,19 @@ class TestCertificates:
         M = jordan(2, 0)
         with pytest.raises(NoOddBlockError):
             certificate_singular(M, regularize(M))
+
+    def test_singular_transform_names_stage(self):
+        M = direct_sum([jordan(1, 0), symplectic_unit(1)])
+        reg = regularize(M)
+        bad = RegularizationResult(Matrix.zeros(QQ, 3, 3), reg.regular_part, reg.singular_sizes)
+        with pytest.raises(SingularMatrixError, match="^certificate_singular: singular 3x3 matrix$"):
+            certificate_singular(M, bad)
+
+    def test_verify_field_mismatch(self):
+        # -1 over F_3 and over Q: each is a certificate only over its own field
+        assert verify_certificate(Matrix(GF(3), [[0]]), Matrix(GF(3), [[2]]))
+        assert not verify_certificate(Matrix(GF(3), [[0]]), mat([[-1]]))
+        assert not verify_certificate(mat([[0]]), Matrix(GF(3), [[2]]))
 
     def test_verify_examples(self):
         assert verify_certificate(mat([[0]]), mat([[-1]]))

@@ -21,8 +21,17 @@ from isodet import (
     power_rank_sequence,
     rank,
 )
-from isodet.blocks import gamma, jordan, direct_sum
-from isodet.exactmat import MAX_MODULUS, hstack, nullspace, rref, solve, vstack
+from isodet.blocks import PolySpec, direct_sum, frobenius, gamma, jordan
+from isodet.exactmat import (
+    MAX_MODULUS,
+    hstack,
+    inverse_times,
+    kron,
+    nullspace,
+    rref,
+    solve,
+    vstack,
+)
 
 from helpers import mat, ref_det, ref_matmul, ref_rref
 
@@ -125,6 +134,14 @@ class TestInverse:
             Ainv = inverse(A)
             I = Matrix.identity(QQ, A.nrows)
             assert A * Ainv == I and Ainv * A == I
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError):
+            inverse(mat([[1, 2]]))
+        with pytest.raises(ValueError):
+            inverse_times(mat([[1], [2]]), mat([[1], [2]]), "stage")
+        with pytest.raises(ValueError):
+            inverse_times(mat([[1]]), mat([[1], [2]]), "stage")
 
 
 class TestDet:
@@ -420,6 +437,45 @@ def same_shape_pairs(f):
         lambda mn: st.tuples(ref_matrices(f, *mn), ref_matrices(f, *mn), entries(f)))
 
 
+def square_and_right_side(f):
+    return st.tuples(st.integers(0, 4), st.integers(0, 3)).flatmap(
+        lambda nk: st.tuples(matrices(f, nk[0], nk[0]), matrices(f, nk[0], nk[1])))
+
+
+class TestInverseTimes:
+    @settings(max_examples=150, deadline=None)
+    @given(fields_and(square_and_right_side))
+    def test_matches_inverse_product(self, args):
+        A, C = args
+        n = A.nrows
+        if rank(A) < n:
+            with pytest.raises(SingularMatrixError, match=f"^some stage: singular {n}x{n} matrix$"):
+                inverse_times(A, C, "some stage")
+            return
+        X = inverse_times(A, C, "some stage")
+        assert X == inverse(A) * C
+        assert A * X == C
+
+    def test_inverse_names_itself(self):
+        with pytest.raises(SingularMatrixError, match="^inverse: singular 2x2 matrix$"):
+            inverse(mat([[1, 2], [2, 4]]))
+
+
+class TestFieldMismatch:
+    def test_product_raises(self):
+        # the numerators of one side must not be read as residues of the other
+        with pytest.raises(ValueError, match="field mismatch"):
+            Matrix(GF(3), [[1]]) * Matrix(QQ, [["1/2"]])
+        with pytest.raises(ValueError, match="field mismatch"):
+            Matrix(QQ, [["1/2"]]) * Matrix(GF(3), [[1]])
+        with pytest.raises(ValueError, match="field mismatch"):
+            Matrix(GF(3), [[1]]) * Matrix(GF(5), [[1]])
+
+    def test_kron_raises(self):
+        with pytest.raises(ValueError, match="mixed fields"):
+            kron(Matrix(GF(3), [[1]]), Matrix(QQ, [["1/2"]]))
+
+
 class TestEntrywiseAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(fields_and(same_shape_pairs))
@@ -454,10 +510,38 @@ class TestEntrywiseAgainstReference:
         assert hstack(A, R).submatrix(range(m), range(n)) == A
         assert vstack(A, V).submatrix(range(m), range(n)) == A
 
+    @settings(max_examples=150, deadline=None)
+    @given(fields_and(lambda f: st.tuples(ref_matrices(f), ref_matrices(f))))
+    def test_kron(self, args):
+        (A, a), (B, b) = args
+        f = A.field
+        assert_matrix(kron(A, B), [[f.mul(x, y) for x in ra for y in rb] for ra in a for rb in b],
+                      A.ncols * B.ncols)
+
+    @pytest.mark.parametrize("field, coeffs", [
+        *((f, c) for f in FIELDS for c in [(1, 0, 1), (2, 1, 0, 1)]),
+        (QQ, ("1/3", "-1/2", 1)), (QQ, ("5/4", 0, "2/9", 1))], ids=str)
+    def test_kron_companion_pencil(self, field, coeffs):
+        # the gamma route's point M^T ⊗ I_k + M ⊗ C_g, against its entries
+        # m_ji [a = b] + m_ij c_ab written out one by one
+        C = frobenius(PolySpec(Poly(field, coeffs), 1))
+        k = C.nrows
+        M = Matrix(field, [["1/2", 3, "-2/7"], [0, "5/6", 4], ["9/4", -1, 0]]
+                   if field.p is None else [[1, 3, 2], [0, 5, 4], [9, -1, 0]])
+        f, n = field, M.nrows
+        expected = [[f.add(M[j, i] if a == b else f.zero(), f.mul(M[i, j], C[a, b]))
+                     for j in range(n) for b in range(k)]
+                    for i in range(n) for a in range(k)]
+        pencil = kron(M.transpose(), Matrix.identity(f, k)) + kron(M, C)
+        assert_matrix(pencil, expected, n * k)
+
     @pytest.mark.parametrize("field", FIELDS, ids=repr)
     def test_empty_shapes(self, field):
         for m, n in ((0, 0), (0, 3), (3, 0)):
             Z = Matrix.zeros(field, m, n)
+            for A in (Z, Matrix.identity(field, 2)):
+                assert_matrix(kron(Z, A), [[]] * (m * A.nrows), n * A.ncols)
+                assert_matrix(kron(A, Z), [[]] * (A.nrows * m), A.ncols * n)
             assert_matrix(Z + Z, [[]] * m if m else [], n)
             assert_matrix(-Z.scale(2), [[]] * m if m else [], n)
             assert_matrix(Z.transpose(), [[]] * n if n else [], m)
