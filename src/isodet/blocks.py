@@ -47,16 +47,8 @@ def jordan(r: int, lam, field: Field = QQ) -> Matrix:
     """r x r block with lam on the diagonal and 1 on the first subdiagonal."""
     if r < 1:
         raise ValueError("jordan block size must be >= 1")
-    lam = field.convert(lam)
-    z, o = field.zero(), field.one()
-    rows = []
-    for i in range(r):
-        row = [z] * r
-        row[i] = lam
-        if i > 0:
-            row[i - 1] = o
-        rows.append(row)
-    return Matrix(field, rows)
+    return Matrix(field, [[lam if j == i else int(j == i - 1) for j in range(r)]
+                          for i in range(r)])
 
 
 def gamma(r: int, field: Field = QQ) -> Matrix:
@@ -69,19 +61,10 @@ def gamma(r: int, field: Field = QQ) -> Matrix:
     """
     if r < 1:
         raise ValueError("gamma block size must be >= 1")
-    z, o = field.zero(), field.one()
-    rows = []
-    for i in range(1, r + 1):
-        sgn = o if i % 2 == 1 else field.neg(o)
-        row = [z] * r
-        for j in range(1, r + 1):
-            if i + j == r + 1 or i + j == r + 2:
-                row[j - 1] = sgn
-        rows.append(row)
-    G = Matrix(field, rows)
-    eig = field.one() if r % 2 == 1 else field.neg(field.one())
+    G = Matrix(field, [[(-1) ** (i + 1) if i + j in (r + 1, r + 2) else 0
+                        for j in range(1, r + 1)] for i in range(1, r + 1)])
     cosq = inverse_times(G.transpose(), G, "gamma")
-    seq = power_rank_sequence(cosq, eig, r)
+    seq = power_rank_sequence(cosq, (-1) ** (r + 1), r)
     if seq != list(range(r, -1, -1)):
         raise AssertionError(f"gamma({r}) failed its cosquare self-check: {seq}")
     return G
@@ -93,15 +76,8 @@ def frobenius(spec: PolySpec) -> Matrix:
     field = spec.poly.field
     q = spec.poly ** spec.power
     m = spec.block_size
-    z, o = field.zero(), field.one()
-    rows = []
-    for i in range(m):
-        row = [z] * m
-        if i > 0:
-            row[i - 1] = o
-        row[m - 1] = field.neg(q.coeffs[i])
-        rows.append(row)
-    return Matrix(field, rows)
+    return Matrix(field, [[int(j == i - 1) for j in range(m - 1)] + [-q.coeffs[i]]
+                          for i in range(m)])
 
 
 def reciprocal(p: Poly) -> Poly:
@@ -127,9 +103,7 @@ def is_cosquare_block(spec: PolySpec) -> bool:
     if f.is_zero(p.constant()):
         # x divides p, so p is x itself or not irreducible; never a cosquare
         return False
-    eps = f.one() if m % 2 == 0 else f.neg(f.one())
-    forbidden = Poly(f, [f.neg(eps), f.one()])  # x + (-1)^(m+1)
-    if p == forbidden:
+    if p == Poly(f, [(-1) ** (m + 1), 1]):
         return False
     return reciprocal(p) == p
 
@@ -147,12 +121,11 @@ def symplectic_unit(m: int, field: Field = QQ) -> Matrix:
     """The 2m x 2m matrix [[0, I_m], [-I_m, 0]]."""
     if m < 1:
         raise ValueError("symplectic unit needs m >= 1")
-    z, o = field.zero(), field.one()
     n = 2 * m
-    rows = [[z] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(m):
-        rows[i][m + i] = o
-        rows[m + i][i] = field.neg(o)
+        rows[i][m + i] = 1
+        rows[m + i][i] = -1
     return Matrix(field, rows)
 
 
@@ -161,14 +134,6 @@ def kronecker_pair_blocks(t: int, field: Field = QQ) -> tuple[Matrix, Matrix]:
     superdiagonal respectively; t = 1 yields a pair of 0 x 1 matrices."""
     if t < 1:
         raise ValueError("kronecker pair needs t >= 1")
-    z, o = field.zero(), field.one()
-    F_rows = []
-    G_rows = []
-    for i in range(t - 1):
-        fr = [z] * t
-        gr = [z] * t
-        fr[i] = o
-        gr[i + 1] = o
-        F_rows.append(fr)
-        G_rows.append(gr)
+    F_rows = [[int(j == i) for j in range(t)] for i in range(t - 1)]
+    G_rows = [[int(j == i + 1) for j in range(t)] for i in range(t - 1)]
     return Matrix(field, F_rows, ncols=t), Matrix(field, G_rows, ncols=t)

@@ -106,7 +106,7 @@ def _count_step(A: Matrix, C: Matrix, k: int, stage: str):
         r = [n] * (n + 2)
     else:
         P = inverse_times(A, C, stage)
-        r = [x // k for x in power_rank_sequence(P, A.field.zero(), n + 1)]
+        r = [x // k for x in power_rank_sequence(P, 0, n + 1)]
     return tuple(r), _block_counts(r, (n - 1) // 2)
 
 

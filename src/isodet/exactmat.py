@@ -11,12 +11,13 @@ gcd(d, *row) = 1, so a zero row has d = 1.  The form is unique, so `==`
 compares it as is.  A product brings the right factor to one common
 denominator L and takes integer dot products; a product, sum, scaling,
 transpose or column slice ends with one gcd per output row.  A `Fraction`
-is built only at the boundary: by `Matrix(field, rows)` from the given
-entries, and by `rows`, `row`, `col`, `[i, j]` and `to_lists`, which build
-the entries anew at each read (nothing is cached).  Over F_p the stored
-rows are the canonical residues themselves.  This module is the only one
-that reads or builds the stored form; the others use the public
-operations, among them `hstack`, `vstack`, `direct_sum` and `kron`.
+is built only at the boundary: by `Matrix(field, rows)` from a given entry
+that is not an int (an int goes straight to the stored form), and by
+`rows`, `row`, `col`, `[i, j]` and `to_lists`, which build the entries anew
+at each read (nothing is cached).  Over F_p the stored rows are the
+canonical residues themselves.  This module is the only one that reads or
+builds the stored form; the others use the public operations, among them
+`hstack`, `vstack`, `direct_sum` and `kron`.
 
 `rank`, `rref`, `solve`, `inverse_times` (A^{-1} C, so `inverse`),
 `nullspace` and `det` share one fraction-free elimination kernel that
@@ -164,7 +165,11 @@ class Matrix:
 
     def __init__(self, field: Field, rows: Sequence[Sequence], ncols: int | None = None):
         conv = field.convert
-        rows = tuple(tuple(conv(x) for x in row) for row in rows)
+        if field.p is None:
+            # an int is already an integer over 1; other entries become Fractions
+            rows = tuple(tuple(x if type(x) is int else conv(x) for x in row) for row in rows)
+        else:
+            rows = tuple(tuple(conv(x) for x in row) for row in rows)
         self.field = field
         self.nrows = len(rows)
         if self.nrows:
@@ -176,7 +181,8 @@ class Matrix:
         if field.p is not None:
             self._rows, self._dens = rows, None
             return
-        # the lcm of a row's denominators leaves the row in lowest terms
+        # ints and Fractions both carry numerator and denominator; the lcm of
+        # a row's denominators leaves the row in lowest terms
         self._dens = tuple(lcm(*(x.denominator for x in r)) for r in rows)
         self._rows = tuple(tuple(x.numerator * (d // x.denominator) for x in r)
                            for r, d in zip(rows, self._dens))

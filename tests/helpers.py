@@ -9,6 +9,9 @@ from isodet import (GF, QQ, DecisionReport, Matrix, Method, det, det_poly, direc
                     inverse, jordan, power_rank_sequence, symplectic_unit)
 from isodet.exactmat import hstack, nullspace, rank, rref
 
+# Q, a small and a large prime field
+FIELDS = [QQ, GF(3), GF(10007)]
+
 
 def mat(rows, field=QQ):
     return Matrix(field, rows)

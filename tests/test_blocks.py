@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,25 +28,41 @@ from isodet import (
     symplectic_unit,
 )
 
-from helpers import mat
+from helpers import FIELDS, mat
+
+
+def assert_entries(M, rows):
+    """M reads back these integer entries as canonical field elements: a
+    Fraction over Q, x mod p over F_p (so -1 as p - 1)."""
+    p = M.field.p
+    assert M.rows == tuple(tuple(Fraction(x) if p is None else x % p for x in r) for r in rows)
 
 
 class TestJordan:
     def test_size_one(self):
-        assert jordan(1, 0) == mat([[0]])
+        for f in FIELDS:
+            assert_entries(jordan(1, 0, f), [[0]])
 
     def test_subdiagonal_convention(self):
-        assert jordan(2, 1) == mat([[1, 0], [1, 1]])
+        for f in FIELDS:
+            assert_entries(jordan(2, 1, f), [[1, 0], [1, 1]])
 
     def test_negative_eigenvalue(self):
-        assert jordan(3, -1) == mat([[-1, 0, 0], [1, -1, 0], [0, 1, -1]])
+        for f in FIELDS:
+            assert_entries(jordan(3, -1, f), [[-1, 0, 0], [1, -1, 0], [0, 1, -1]])
+
+    def test_fraction_eigenvalue(self):
+        assert jordan(2, "1/2") == mat([["1/2", 0], [1, "1/2"]])
 
 
 class TestGamma:
     def test_small(self):
-        assert gamma(1) == mat([[1]])
-        assert gamma(2) == mat([[0, 1], [-1, -1]])
-        assert gamma(3) == mat([[0, 0, 1], [0, -1, -1], [1, 1, 0]])
+        for f in FIELDS:
+            assert_entries(gamma(1, f), [[1]])
+            assert_entries(gamma(2, f), [[0, 1], [-1, -1]])
+            assert_entries(gamma(3, f), [[0, 0, 1], [0, -1, -1], [1, 1, 0]])
+            assert_entries(gamma(4, f),
+                           [[0, 0, 0, 1], [0, 0, -1, -1], [0, 1, 1, 0], [-1, -1, 0, 0]])
 
     def test_gamma2_cosquare(self):
         G = gamma(2)
@@ -67,13 +84,18 @@ class TestGamma:
 
 class TestFrobenius:
     def test_linear(self):
-        assert frobenius(PolySpec(Poly(QQ, [-1, 1]), 1)) == mat([[1]])
+        for f in FIELDS:
+            assert_entries(frobenius(PolySpec(Poly(f, [-1, 1]), 1)), [[1]])
 
     def test_square_of_linear(self):
-        assert frobenius(PolySpec(Poly(QQ, [-1, 1]), 2)) == mat([[0, -1], [1, 2]])
+        for f in FIELDS:
+            assert_entries(frobenius(PolySpec(Poly(f, [-1, 1]), 2)), [[0, -1], [1, 2]])
 
     def test_quadratic(self):
-        assert frobenius(PolySpec(Poly(QQ, [1, 0, 1]), 1)) == mat([[0, -1], [1, 0]])
+        for f in FIELDS:
+            assert_entries(frobenius(PolySpec(Poly(f, [1, 0, 1]), 1)), [[0, -1], [1, 0]])
+        Phi = frobenius(PolySpec(Poly(QQ, ["1/2", "-2/3", 1]), 1))
+        assert Phi == mat([[0, "-1/2"], [1, "2/3"]])
 
     def test_characteristic_polynomial(self):
         rng = random.Random(5)
@@ -185,11 +207,13 @@ class TestSums:
 
 class TestSymplecticUnit:
     def test_z2(self):
-        assert symplectic_unit(1) == mat([[0, 1], [-1, 0]])
+        for f in FIELDS:
+            assert_entries(symplectic_unit(1, f), [[0, 1], [-1, 0]])
 
     def test_z4(self):
-        Z4 = symplectic_unit(2)
-        assert Z4 == mat([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+        for f in FIELDS:
+            assert_entries(symplectic_unit(2, f),
+                           [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
 
     def test_skew_symmetry(self):
         Z2 = symplectic_unit(1)
@@ -198,14 +222,19 @@ class TestSymplecticUnit:
 
 class TestKroneckerPair:
     def test_degenerate(self):
-        F, G = kronecker_pair_blocks(1)
-        assert (F.nrows, F.ncols) == (0, 1) and (G.nrows, G.ncols) == (0, 1)
+        for f in FIELDS:
+            F, G = kronecker_pair_blocks(1, f)
+            assert (F.nrows, F.ncols) == (0, 1) and (G.nrows, G.ncols) == (0, 1)
+            assert F.field == G.field == f
 
     def test_t2(self):
-        F, G = kronecker_pair_blocks(2)
-        assert F == Matrix(QQ, [[1, 0]]) and G == Matrix(QQ, [[0, 1]])
+        for f in FIELDS:
+            F, G = kronecker_pair_blocks(2, f)
+            assert_entries(F, [[1, 0]])
+            assert_entries(G, [[0, 1]])
 
     def test_t3(self):
-        F, G = kronecker_pair_blocks(3)
-        assert F == Matrix(QQ, [[1, 0, 0], [0, 1, 0]])
-        assert G == Matrix(QQ, [[0, 1, 0], [0, 0, 1]])
+        for f in FIELDS:
+            F, G = kronecker_pair_blocks(3, f)
+            assert_entries(F, [[1, 0, 0], [0, 1, 0]])
+            assert_entries(G, [[0, 1, 0], [0, 0, 1]])

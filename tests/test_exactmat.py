@@ -33,7 +33,7 @@ from isodet.exactmat import (
     vstack,
 )
 
-from helpers import mat, ref_det, ref_matmul, ref_rref
+from helpers import FIELDS, mat, ref_det, ref_matmul, ref_rref
 
 
 def small_entries():
@@ -219,14 +219,15 @@ class TestPowerRankSequence:
 
 # --- differential tests of the elimination kernel and the dot products -----
 
-FIELDS = [QQ, GF(3), GF(10007)]
-
 
 def entries(field):
     if field.p is not None:
         return st.integers(min_value=0, max_value=field.p - 1)
     nums = st.one_of(st.integers(-4, 4), st.integers(-(2 ** 64), 2 ** 64))
-    return st.one_of(st.just(0), st.builds(Fraction, nums, st.integers(1, 97)))
+    # plain ints go straight to the stored form, so draw them as well as Fractions
+    ints = st.one_of(st.integers(-4, 4), st.integers(2 ** 64 - 4, 2 ** 64 + 4),
+                     st.integers(-(2 ** 64) - 4, -(2 ** 64) + 4))
+    return st.one_of(st.just(0), ints, st.builds(Fraction, nums, st.integers(1, 97)))
 
 
 @st.composite
@@ -391,20 +392,22 @@ class TestKernelAgainstReference:
 @st.composite
 def ref_matrices(draw, field, m=None, n=None, max_dim=4):
     """(A, rows of A as field elements): each row plain (over Q with mixed
-    denominators), a plain row times a common factor, or zero."""
+    denominators and ints), a plain row times a common factor, or zero.  A
+    is built from the entries as drawn, so int entries take their own path."""
     m = draw(st.integers(0, max_dim)) if m is None else m
     n = draw(st.integers(0, max_dim)) if n is None else n
-    rows = []
+    drawn = []
     for _ in range(m):
-        row = [field.convert(x) for x in draw(st.lists(entries(field), min_size=n, max_size=n))]
+        row = draw(st.lists(entries(field), min_size=n, max_size=n))
         kind = draw(st.sampled_from(["plain", "factor", "zero"]))
         if kind == "factor":
-            k = field.convert(draw(st.integers(2, 6)))
-            row = [field.mul(k, x) for x in row]
+            k = draw(st.integers(2, 6))
+            row = [k * x for x in row]
         elif kind == "zero":
-            row = [field.zero()] * n
-        rows.append(row)
-    return Matrix(field, rows, ncols=n), rows
+            row = [0] * n
+        drawn.append(row)
+    rows = [[field.convert(x) for x in row] for row in drawn]
+    return Matrix(field, drawn, ncols=n), rows
 
 
 def is_canonical(f, x):
@@ -548,6 +551,13 @@ class TestEntrywiseAgainstReference:
             assert_matrix(hstack(Z, Z), [[]] * m if m else [], 2 * n)
             assert_matrix(vstack(Z, Z), [[]] * (2 * m) if m else [], n)
             assert Z == Matrix(field, [[]] * m if m else [], ncols=n)
+
+    def test_int_entries_match_converted_ones(self):
+        # an int goes straight to the stored form, a Fraction, string or
+        # bool through Field.convert; all read back as canonical Fractions,
+        # and the matrix equals the one built from Fractions
+        M = Matrix(QQ, [[3, Fraction(1, 2), "3/4", True]])
+        assert_matrix(M, [[Fraction(3), Fraction(1, 2), Fraction(3, 4), Fraction(1)]], 4)
 
     def test_lowest_terms_across_routes(self):
         assert Matrix(QQ, [[2, 4]]).scale(Fraction(1, 4)) == Matrix(QQ, [["1/2", 1]])

@@ -1,12 +1,22 @@
 """Source layout rules that no behavioural test can see."""
 
+import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "isodet"
+from isodet import Matrix
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "isodet"
 # the stored rows and row denominators of a Matrix, and the constructors
 # that take rows already in that form
 STORAGE = re.compile(r"\._(rows|dens|of|over)\b")
+# the benchmark's tracer wraps isodet functions and Matrix methods by name
+TRACED_TABLES = ("OP_TARGETS", "METHODS", "SETUP_TARGETS", "MODULES")
 
 
 def storage_uses(src: Path) -> list[str]:
@@ -19,3 +29,34 @@ def storage_uses(src: Path) -> list[str]:
 
 def test_only_exactmat_touches_the_stored_form():
     assert storage_uses(SRC) == []
+
+
+def traced_tables() -> dict:
+    """The literal name tables of perfbench/tracing.py, read from its source
+    without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in TRACED_TABLES}
+
+
+def test_benchmark_traced_names_exist():
+    # each name is looked up where the tracer looks it up: as a module
+    # attribute of isodet.<module>, and in Matrix's own __dict__
+    tables = traced_tables()
+    assert set(tables) == set(TRACED_TABLES)
+    modules = {m: importlib.import_module(f"isodet.{m}") for m in tables["MODULES"]}
+    missing = [f"{mod}.{fn}" for targets in (tables["OP_TARGETS"], tables["SETUP_TARGETS"])
+               for mod, fns in targets.items() for fn in fns
+               if not callable(getattr(modules[mod], fn, None))]
+    missing += [f"Matrix.{attr}" for attr in tables["METHODS"].values()
+                if attr not in Matrix.__dict__]
+    assert missing == []
+
+
+def test_import_loads_numpy():
+    # the benchmark reads the numpy version from sys.modules after importing isodet
+    code = "import sys, isodet; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "True"
