@@ -32,8 +32,10 @@ from .decide import (
     verify_certificate,
 )
 from .exactmat import QQ, Field, FieldError, Matrix, Poly
-from .oracle import BudgetExceededError, enumerate_isometries
+from .oracle import DEFAULT_LIMIT, BudgetExceededError, enumerate_isometries
 from .regularize import regularize, verify_congruence
+
+VERDICTS = {True: "all-det-one", False: "det-not-one-exists"}
 
 
 class DocumentError(ValueError):
@@ -151,7 +153,7 @@ def _read_input(path: str) -> str:
 def _report_json(M: Matrix, rep: DecisionReport, want_cert: bool, emit_reg: bool) -> dict:
     f = M.field
     out = {
-        "verdict": "all-det-one" if rep.all_det_one else "det-not-one-exists",
+        "verdict": VERDICTS[rep.all_det_one],
         "all_det_one": rep.all_det_one,
         "method": rep.method.value,
         "field": field_tag(f),
@@ -270,12 +272,12 @@ def _cmd_oracle(args) -> int:
             "group_order": summary.group_order,
             "det_counts": tally,
             "all_det_one": summary.all_det_one,
-            "verdict": "all-det-one" if summary.all_det_one else "det-not-one-exists",
+            "verdict": VERDICTS[summary.all_det_one],
         }))
     else:
         print(f"isometry group order: {summary.group_order}")
         print(f"determinant tally: {tally}")
-        print(f"verdict: {'all-det-one' if summary.all_det_one else 'det-not-one-exists'}")
+        print(f"verdict: {VERDICTS[summary.all_det_one]}")
     return 0 if summary.all_det_one else 1
 
 
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="enumerate the isometry group over F_p")
     o.add_argument("matrix", help="path to a matrix document, or - for stdin")
-    o.add_argument("--limit", type=int, default=50_000_000,
+    o.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
                    help="candidate budget (default admits F3 up to 4x4, F5 up to 3x3)")
     o.add_argument("--json", action="store_true")
     o.set_defaults(func=_cmd_oracle)

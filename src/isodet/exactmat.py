@@ -25,7 +25,8 @@ takes the stored rows as they are: a forward pass, `_eliminate`, and a
 back substitution, `_back_substitute`, that runs only when a reduced form
 is asked for (`rref`, `solve`, `inverse_times`, and `nullspace` when some
 column is free).  Their outputs are read off the kernel's rows in the
-stored form, a row over its pivot entry.
+stored form, a row over its pivot entry.  The forward pass also keeps a
+log of its row updates over Q; only `det` reads it.
 """
 
 from __future__ import annotations
@@ -436,15 +437,9 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
                         [da * db for da in A._dens for db in B._dens], ncols)
 
 
-def _int_rows(A: Matrix) -> tuple[list[list[int]], int]:
-    """A copy of A's stored rows as mutable int lists, and the product of
-    the row denominators (1 over F_p)."""
-    return [list(r) for r in A._rows], 1 if A._dens is None else prod(A._dens)
-
-
-def _eliminate(rows: list[list[int]], ncols: int, p: int | None) -> tuple[list[int], int, int]:
+def _eliminate(rows: list[list[int]], ncols: int, p: int | None) -> tuple[list[int], int, list]:
     """Forward pass: bring integer rows to echelon form in place; return
-    (pivot columns, num, den).
+    (pivot columns, num, log).
 
     Over F_p each pivot row is scaled to a leading 1 and a row update is
     reduced mod p once.  Over Q a row update is fraction-free: row ←
@@ -455,12 +450,14 @@ def _eliminate(rows: list[list[int]], ncols: int, p: int | None) -> tuple[list[i
     (1968)) and shrink wherever the rational entries cancel.
 
     Row i < rank then holds a multiple of row i of an echelon form; the rows
-    below are zero.  For a square nonsingular input, det = (product of the
-    pivots left in rows) · num / den.
+    below are zero.  num is the sign of the row swaps, times the pivots
+    scaled away over F_p.  log holds (h, a) for each row update over Q, which
+    multiplied the determinant by a/h.  Only `det` reads num and log: it
+    undoes the logged updates in batches of n, each in lowest terms.
     """
     m = len(rows)
     piv: list[int] = []
-    num = den = 1
+    num, log = 1, []
     for c in range(ncols):
         r = len(piv)
         if r == m:
@@ -491,13 +488,10 @@ def _eliminate(rows: list[list[int]], ncols: int, p: int | None) -> tuple[list[i
             # entries left of c are zero in the pivot row and in row i
             new = [a * x - b * y for x, y in zip(row[c:], tail)]
             h = gcd(*new)
-            if h > 1:
-                new = [x // h for x in new]
-                num *= h
-            row[c:] = new
-            den *= a
+            row[c:] = [x // h for x in new] if h > 1 else new
+            log.append((h, a))
         piv.append(c)
-    return piv, num, den
+    return piv, num, log
 
 
 def _back_substitute(rows: list[list[int]], piv: list[int], p: int | None) -> None:
@@ -532,14 +526,13 @@ def _back_substitute(rows: list[list[int]], piv: list[int], p: int | None) -> No
 
 def _pivots(A: Matrix) -> list[int]:
     """The pivot columns of A's echelon form, from the forward pass alone."""
-    rows, _ = _int_rows(A)
-    return _eliminate(rows, A.ncols, A.field.p)[0]
+    return _eliminate(list(map(list, A._rows)), A.ncols, A.field.p)[0]
 
 
 def _reduced(A: Matrix) -> tuple[list[list[int]], list[int]]:
     """A's rows after the forward and the backward pass, and the pivot
     columns: row i < rank is a multiple of row i of the reduced form."""
-    rows, _ = _int_rows(A)
+    rows = list(map(list, A._rows))
     piv = _eliminate(rows, A.ncols, A.field.p)[0]
     _back_substitute(rows, piv, A.field.p)
     return rows, piv
@@ -568,7 +561,7 @@ def nullspace(A: Matrix) -> Matrix:
     A full column rank input takes the forward pass only."""
     f = A.field
     n = A.ncols
-    rows, _ = _int_rows(A)
+    rows = list(map(list, A._rows))
     piv = _eliminate(rows, n, f.p)[0]
     if len(piv) == n:
         return Matrix._of(f, [()] * n, 0)
@@ -637,12 +630,17 @@ def det(A: Matrix):
     if not A.is_square:
         raise ValueError("determinant of a non-square matrix")
     f = A.field
-    rows, scale = _int_rows(A)
-    piv, num, den = _eliminate(rows, A.ncols, f.p)
+    rows = list(map(list, A._rows))
+    piv, num, log = _eliminate(rows, A.ncols, f.p)
     if len(piv) < A.nrows:
         return f.zero()
     d = prod(row[c] for row, c in zip(rows, piv)) * num
-    return Fraction(d, den * scale) if f.p is None else d % f.p
+    if f.p is not None:
+        return d % f.p
+    n = max(A.nrows, 1)  # undo the logged updates n at a time, in lowest terms
+    parts = [zip(*log[i:i + n]) for i in range(0, len(log), n)]
+    return prod((Fraction(prod(h), prod(a)) for h, a in parts),
+                start=Fraction(d, prod(A._dens)))
 
 
 class Poly:

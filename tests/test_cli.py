@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isodet.cli import DocumentError, main, parse_document, print_document
+from isodet.cli import DocumentError, build_parser, main, parse_document, print_document
+from isodet.oracle import DEFAULT_LIMIT
 from isodet import GF, QQ, Matrix, regularize
 
 
@@ -287,6 +288,9 @@ class TestOracleCommand:
                            stdin='{"field": "F3", "rows": [["1", "0"], ["0", "1"]]}',
                            monkeypatch=monkeypatch)
         assert code == 1
+
+    def test_default_limit_is_the_oracle_default(self):
+        assert build_parser().parse_args(["oracle", "-"]).limit == DEFAULT_LIMIT
 
     def test_rational_rejected(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["oracle", "-"], stdin=Z2_DOC, monkeypatch=monkeypatch)

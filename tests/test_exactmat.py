@@ -159,10 +159,29 @@ class TestDet:
 
     def test_multiplicative(self):
         rng = random.Random(11)
-        for _ in range(25):
-            A = mat([[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
-            B = mat([[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
-            assert det(A * B) == det(A) * det(B)
+        for field, n in [(QQ, 4), *((f, 12) for f in FIELDS)]:
+            for _ in range(25):
+                A = mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], field)
+                B = mat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], field)
+                assert det(A * B) == field.mul(det(A), det(B))
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_against_reference(self, field, n):
+        # long logs of row updates: mixed row denominators over Q, and a zero
+        # leading entry, so the first pivot comes from a row swap
+        rng = random.Random(n)
+        while True:
+            if field.p is None:
+                rows = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 6]))
+                         for _ in range(n)] for _ in range(n)]
+            else:
+                rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
+            rows[0][0] = 0
+            A = Matrix(field, rows)
+            if rank(A) == n:
+                break
+        assert det(A) == ref_det(A) != 0
 
 
 class TestDetPoly:

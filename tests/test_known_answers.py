@@ -1,8 +1,8 @@
 """Known answers beyond the exhaustive sizes: scrambled direct sums of
-J_s(0), Gamma_r and Z_m (`helpers.known_sum`) at n = 12..48 over F_3, F_7
-and F_10007 and n = 12..32 over Q.  The singular sizes, the odd-block counts,
-the verdict and whether a certificate exists all follow from the summands,
-so both routes are checked against answers computed without them."""
+J_s(0), Gamma_r and Z_m (`helpers.known_sum`) at n = 12..48 over Q, F_3,
+F_7 and F_10007.  The singular sizes, the odd-block counts, the verdict and
+whether a certificate exists all follow from the summands, so both routes
+are checked against answers computed without them."""
 
 import pytest
 
@@ -16,6 +16,8 @@ CASES = [
     (QQ, "J5+J2+J2+G6+G3+Z3"),            # n = 24
     (QQ, "J5+J2+G9+G7+Z4"),               # n = 31
     (QQ, "J4+J2+G10+G6+Z5"),              # n = 32, accepted
+    (QQ, "J5+J2+G11+G9+G7+Z7"),           # n = 48
+    (QQ, "J4+J2+G12+G8+Z11"),             # n = 48, accepted
     (GF(10007), "J2+J2+G3+G3+Z1"),        # n = 12
     (GF(10007), "J6+J3+G9+Z3"),           # n = 24
     (GF(10007), "J4+J4+J1+G11+G5+G3+Z4"),  # n = 36
