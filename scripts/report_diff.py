@@ -4,11 +4,13 @@
 For each tree a subprocess imports that tree's `src/isodet` and
 `perfbench/corpus.py`, builds the three corpora (`q-regularize`,
 `fp-crosscheck`, `small-exhaustive`) for every seed, and dumps one JSON
-line per report: every `decide` report (verdict, singular sizes, rank
-sequence, counts, certificate, and the regularization's S and B) and, on
-`fp-crosscheck` and `q-regularize`, every `decide_gamma_shift` report.  The
-script then lists each field that differs between the trees and exits 1 if
-any does.
+line per report: the payload of `isodet decide --json --certificate
+--emit-regularization`, as that tree's `cli._report_json` builds it, with
+the `regularization` object flattened into `regularization.<key>` fields.
+Every `decide` report is dumped and, on `fp-crosscheck` and `q-regularize`,
+every `decide_gamma_shift` report.  The script then lists each field that
+differs between the trees and exits 1 if any does, or 2 if a tree cannot
+be dumped.
 
 Example (a second checkout of the parent commit in ../parent):
     python3 scripts/report_diff.py ../parent . --seeds 1,2,3
@@ -28,52 +30,43 @@ WORKLOADS = ("q-regularize", "fp-crosscheck", "small-exhaustive")
 GAMMA_WORKLOADS = ("fp-crosscheck", "q-regularize")
 
 
-def _rows(M):
-    return None if M is None else [[M.field.to_str(x) for x in row] for row in M.rows]
-
-
 def _record(fn, M) -> dict:
+    from isodet.cli import _report_json
+
     try:
-        rep = fn(M)
+        doc = _report_json(M, fn(M), True, True)
     except Exception as exc:  # a raise is an outcome to compare, not a crash
         return {"error": f"{type(exc).__name__}: {exc}"}
-    reg = rep.regularization
-    return {
-        "verdict": rep.all_det_one,
-        "sizes": list(rep.singular_sizes),
-        "rank_sequence": list(rep.rank_sequence),
-        "counts": list(rep.odd_block_counts),
-        "gamma_used": None if rep.gamma_used is None else str(rep.gamma_used),
-        "gamma_modulus": None if rep.gamma_modulus is None else [str(c) for c in rep.gamma_modulus],
-        "certificate": _rows(rep.certificate),
-        "transform": _rows(reg.transform) if reg else None,
-        "regular_part": _rows(reg.regular_part) if reg else None,
-    }
+    reg = doc.pop("regularization")
+    return {**doc, **{f"regularization.{k}": v for k, v in reg.items()}}
 
 
-def dump(seeds: list[int]) -> None:
-    """One JSON line per report of the tree on sys.path, to stdout."""
-    from corpus import build_corpus
-    from isodet import decide, decide_gamma_shift
+def dump(tree: Path, seeds: list[int]) -> None:
+    """One JSON line per report of the tree's own isodet, to stdout."""
+    import corpus
+    import isodet
 
+    for mod in (isodet, corpus):
+        if not Path(mod.__file__).resolve().is_relative_to(tree):
+            sys.exit(f"imported {mod.__name__} from {mod.__file__}, not from {tree}")
     for workload in WORKLOADS:
         for seed in seeds:
-            for row in build_corpus(workload, seed):
+            for row in corpus.build_corpus(workload, seed):
                 for it in row:
                     key = f"{workload}/{seed}/{it.key}:{it.spec}"
-                    routes = [("decide", decide)]
+                    routes = [("decide", isodet.decide)]
                     if workload in GAMMA_WORKLOADS:
-                        routes.append(("gamma", decide_gamma_shift))
+                        routes.append(("gamma", isodet.decide_gamma_shift))
                     for route, fn in routes:
                         print(json.dumps({"key": key, "route": route, **_record(fn, it.matrix)}))
 
 
-def reports(tree: Path, seeds: list[int]) -> dict:
+def reports(tree: Path, seeds: str) -> dict:
     tree = tree.resolve()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(tree / "perfbench")])}
-    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--dump",
-                          ",".join(map(str, seeds))],
-                         cwd=tree, env=env, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--dump", str(tree),
+                          "--seeds", seeds],
+                         env=env, capture_output=True, text=True, check=True).stdout
     docs = {}
     for line in out.splitlines():
         doc = json.loads(line)
@@ -86,15 +79,21 @@ def main() -> int:
     ap.add_argument("old", nargs="?", type=Path, help="source tree with src/ and perfbench/")
     ap.add_argument("new", nargs="?", type=Path)
     ap.add_argument("--seeds", default="1,2,3", help="comma-separated corpus seeds")
-    ap.add_argument("--dump", metavar="SEEDS", help=argparse.SUPPRESS)
+    ap.add_argument("--dump", metavar="TREE", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.dump is not None:
-        dump([int(s) for s in args.dump.split(",")])
+        dump(args.dump, [int(s) for s in args.seeds.split(",")])
         return 0
     if args.old is None or args.new is None:
         ap.error("OLD_TREE and NEW_TREE are required")
-    seeds = [int(s) for s in args.seeds.split(",")]
-    old, new = reports(args.old, seeds), reports(args.new, seeds)
+    docs = []
+    for tree in (args.old, args.new):
+        try:
+            docs.append(reports(tree, args.seeds))
+        except subprocess.CalledProcessError as exc:
+            print(f"report_diff: cannot dump the reports of {tree}:\n{exc.stderr}", file=sys.stderr)
+            return 2
+    old, new = docs
     diffs = [f"{key} {route}: only in {'old' if (key, route) in old else 'new'}"
              for key, route in sorted(old.keys() ^ new.keys())]
     for key, route in sorted(old.keys() & new.keys()):

@@ -76,10 +76,6 @@ def check_entry(entry: str) -> str:
     return entry
 
 
-def field_tag(field: Field) -> str:
-    return "Q" if field.p is None else f"F{field.p}"
-
-
 def parse_document(text: str) -> Matrix:
     """A matrix from either the JSON or the plain text document form."""
     stripped = text.lstrip()
@@ -129,15 +125,14 @@ def matrix_rows_str(M: Matrix) -> list[list[str]]:
         raise OutputError(f"{M.nrows}x{M.ncols} matrix: {exc}") from None
 
 
-def print_document(M: Matrix, as_text: bool = False, out=None) -> None:
-    out = out or sys.stdout
+def print_document(M: Matrix, as_text: bool = False) -> None:
     rows = matrix_rows_str(M)
     if as_text:
-        print(f"{M.nrows} {field_tag(M.field)}", file=out)
+        print(f"{M.nrows} {M.field!r}")
         for row in rows:
-            print(" ".join(row), file=out)
+            print(" ".join(row))
     else:
-        print(json.dumps({"field": field_tag(M.field), "rows": rows}), file=out)
+        print(json.dumps({"field": repr(M.field), "rows": rows}))
 
 
 def _read_input(path: str) -> str:
@@ -156,7 +151,7 @@ def _report_json(M: Matrix, rep: DecisionReport, want_cert: bool, emit_reg: bool
         "verdict": VERDICTS[rep.all_det_one],
         "all_det_one": rep.all_det_one,
         "method": rep.method.value,
-        "field": field_tag(f),
+        "field": repr(f),
         "size": M.nrows,
         "singular_sizes": list(rep.singular_sizes),
         "rank_sequence": list(rep.rank_sequence),
@@ -172,13 +167,11 @@ def _report_json(M: Matrix, rep: DecisionReport, want_cert: bool, emit_reg: bool
         out["certificate_verified"] = verify_certificate(M, rep.certificate)
     if emit_reg:
         reg = rep.regularization if rep.regularization is not None else regularize(M)
-        canonical = direct_sum([reg.regular_part] + [jordan(s, 0, f) for s in reg.singular_sizes],
-                               field=f)
         out["regularization"] = {
             "transform": matrix_rows_str(reg.transform),
             "regular_part": matrix_rows_str(reg.regular_part),
             "singular_sizes": list(reg.singular_sizes),
-            "verified": verify_congruence(reg.transform, M, canonical),
+            "verified": verify_congruence(reg.transform, M, reg.canonical()),
         }
     return out
 

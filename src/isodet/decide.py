@@ -107,14 +107,8 @@ def _count_step(A: Matrix, C: Matrix, k: int, stage: str):
     else:
         P = inverse_times(A, C, stage)
         r = [x // k for x in power_rank_sequence(P, 0, n + 1)]
-    return tuple(r), _block_counts(r, (n - 1) // 2)
-
-
-def _block_counts(r: list[int], kmax: int) -> tuple[int, ...]:
-    """c_k = r_{2k} - 2 r_{2k+1} + r_{2k+2} for k = 0..kmax, with r padded
-    by its last (stable) value."""
-    padded = list(r) + [r[-1]] * (2 * kmax + 3 - len(r))
-    return tuple(padded[2 * k] - 2 * padded[2 * k + 1] + padded[2 * k + 2] for k in range(kmax + 1))
+    # r holds r_0 .. r_{n+1}, enough for every count
+    return tuple(r), tuple(r[2 * j] - 2 * r[2 * j + 1] + r[2 * j + 2] for j in range((n + 1) // 2))
 
 
 def certificate_singular(M: Matrix, reg: RegularizationResult) -> Matrix:
@@ -163,8 +157,8 @@ def decide(M: Matrix) -> DecisionReport:
     sizes = reg.singular_sizes
     odd_singular = any(s % 2 == 1 for s in sizes)
     # padding is exact: c_k = 0 once 2k+1 exceeds the regular part's size
-    r_seq, _ = odd_unipotent_counts(reg.regular_part)
-    counts = _block_counts(r_seq, (n - 1) // 2)
+    r_seq, counts = odd_unipotent_counts(reg.regular_part)
+    counts += (0,) * ((n + 1) // 2 - len(counts))
     ok = not odd_singular and all(c == 0 for c in counts)
 
     if not ok and skew_fast_path(M):
@@ -181,14 +175,6 @@ def decide(M: Matrix) -> DecisionReport:
     )
 
 
-def _divides(h: Poly, g: Poly) -> bool:
-    try:
-        g.divexact(h)
-    except ValueError:
-        return False
-    return True
-
-
 def _irreducibles(f: Field):
     """Monic irreducible polynomials: x - 0, x - 1, x - 2, ... over Q; over
     F_p the p linear ones by constant, then degree 2, 3, ..., each degree in
@@ -203,7 +189,7 @@ def _irreducibles(f: Field):
     for k in count(2):
         for top in product(range(p), repeat=k):
             g = Poly(f, top[::-1] + (1,))
-            if not any(_divides(h, g) for h in found if 2 * h.degree <= k):
+            if not any(divmod(g, h)[1].is_zero() for h in found if 2 * h.degree <= k):
                 found.append(g)
                 yield g
 

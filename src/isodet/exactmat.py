@@ -742,8 +742,8 @@ class Poly:
             acc = f.add(f.mul(acc, c), a)
         return acc
 
-    def divexact(self, other: "Poly") -> "Poly":
-        """Quotient self/other when the division is exact; ValueError otherwise."""
+    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """(q, r) with self = q·other + r and deg r < deg other."""
         f = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -759,9 +759,14 @@ class Poly:
                 rem[pos + i] = f.sub(rem[pos + i], f.mul(coef, c))
             while rem and f.is_zero(rem[-1]):
                 rem.pop()
-        if rem:
+        return Poly(f, q), Poly(f, rem)
+
+    def divexact(self, other: "Poly") -> "Poly":
+        """Quotient self/other when the division is exact; ValueError otherwise."""
+        q, r = divmod(self, other)
+        if not r.is_zero():
             raise ValueError("inexact polynomial division")
-        return Poly(f, q)
+        return q
 
     def to_str(self, var: str = "t") -> str:
         if self.is_zero():

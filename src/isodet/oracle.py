@@ -122,7 +122,7 @@ def enumerate_isometries(M: Matrix, limit: int = DEFAULT_LIMIT) -> IsometrySumma
     return IsometrySummary(order, det_counts, det_counts.get(1, 0) == order)
 
 
-def oracle_verdict(M: Matrix, limit: int = DEFAULT_LIMIT) -> bool:
+def oracle_verdict(M: Matrix) -> bool:
     """Membership by definition: True iff no isometry with det != 1 exists.
 
     Tests only determinant != 1 candidates and stops at the first batch that
@@ -130,7 +130,7 @@ def oracle_verdict(M: Matrix, limit: int = DEFAULT_LIMIT) -> bool:
     """
     A, p = _form(M)
     return not any(_congruence_hits(S[d != 1], A, p).any()
-                   for S, d in _nonsingular(M.nrows, p, limit))
+                   for S, d in _nonsingular(M.nrows, p, DEFAULT_LIMIT))
 
 
 class BulkOracle:
@@ -141,11 +141,11 @@ class BulkOracle:
     by their enumeration index (same digit order as the candidate scan).
     """
 
-    def __init__(self, n: int, p: int, limit: int = DEFAULT_LIMIT):
+    def __init__(self, n: int, p: int):
         Field(p)  # validates the modulus
         self.n = n
         self.p = p
-        self._scan = np.concatenate([S[d != 1] for S, d in _nonsingular(n, p, limit)])
+        self._scan = np.concatenate([S[d != 1] for S, d in _nonsingular(n, p, DEFAULT_LIMIT)])
 
     def matrix_from_index(self, idx: int, field: Field) -> Matrix:
         rows = _candidates(idx, idx + 1, self.n, self.p)[0].tolist()

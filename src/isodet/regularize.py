@@ -5,8 +5,9 @@ Jordan blocks under an explicit congruence.
 
     S^T M S = B (+) J_{n_1}(0) (+) ... (+) J_{n_p}(0),   B nonsingular,
 
-verified exactly before returning.  The construction works over Q and over
-any F_p with p odd, uses no field extensions and no randomness.
+verified exactly before returning; the right-hand side, the canonical form
+of M, is `RegularizationResult.canonical()`.  The construction works over Q
+and over any F_p with p odd, uses no field extensions and no randomness.
 
 Algorithm sketch.  Vectors of the two-sided kernel of M span exactly the
 1x1 singular blocks and split off against any complement.  Once those are
@@ -53,6 +54,12 @@ class RegularizationResult:
     regular_part: Matrix
     singular_sizes: tuple[int, ...]
 
+    def canonical(self) -> Matrix:
+        """B (+) J_{n_1}(0) (+) ... (+) J_{n_p}(0), which S^T M S equals."""
+        f = self.transform.field
+        return direct_sum([self.regular_part] + [jordan(s, 0, f) for s in self.singular_sizes],
+                          field=f)
+
 
 def verify_congruence(S: Matrix, M: Matrix, N: Matrix) -> bool:
     """True iff S is nonsingular and S^T M S equals N exactly."""
@@ -68,7 +75,6 @@ def verify_congruence(S: Matrix, M: Matrix, N: Matrix) -> bool:
 def regularize(M: Matrix) -> RegularizationResult:
     if not M.is_square:
         raise ValueError("regularize needs a square matrix")
-    f = M.field
     n = M.nrows
     W, spans = _decompose(M)
     if W.ncols != n:
@@ -78,11 +84,10 @@ def regularize(M: Matrix) -> RegularizationResult:
     S = _cols(W, [*range(b), *(c for span in spans for c in span)])
     N = S.transpose() * M * S
     B = N.submatrix(range(b), range(b))
-    sizes = tuple(map(len, spans))
-    expected = direct_sum([B] + [jordan(s, 0, f) for s in sizes], field=f)
-    if rank(S) != n or rank(B) != b or N != expected:
+    res = RegularizationResult(S, B, tuple(map(len, spans)))
+    if rank(S) != n or rank(B) != b or N != res.canonical():
         raise RegularizationError("regularization postcondition failed")
-    return RegularizationResult(S, B, sizes)
+    return res
 
 
 def _cols(A: Matrix, idx) -> Matrix:

@@ -22,6 +22,7 @@ from isodet import (
     rank,
 )
 from isodet.blocks import PolySpec, direct_sum, frobenius, gamma, jordan
+from isodet.cli import parse_field
 from isodet.exactmat import (
     MAX_MODULUS,
     hstack,
@@ -65,6 +66,11 @@ class TestField:
     def test_rationals_lowest_terms(self):
         x = QQ.convert("2/4")
         assert x == Fraction(1, 2) and x.denominator == 2
+
+    def test_repr_is_the_field_tag(self):
+        # documents name their field by repr(field)
+        for f in (QQ, GF(3), GF(10007), GF(2 ** 64 - 59)):
+            assert parse_field(repr(f)) == f
 
 
 class TestPrimality:
@@ -214,6 +220,33 @@ class TestDetPoly:
         for _ in range(5):
             c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             assert p.eval(c) == det(A + B.scale(c))
+
+
+class TestPolyDivmod:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_against_definition(self, data):
+        f = data.draw(st.sampled_from(FIELDS))
+        coeffs = st.lists(entries(f), min_size=1, max_size=5)
+        h = Poly(f, data.draw(coeffs))
+        assume(not h.is_zero())
+        g = Poly(f, data.draw(coeffs))
+        if data.draw(st.booleans()):
+            g = g * h  # an exact division
+        q, r = divmod(g, h)
+        assert q * h + r == g and r.degree < h.degree
+        if r.is_zero():
+            assert g.divexact(h) == q
+        else:
+            with pytest.raises(ValueError):
+                g.divexact(h)
+
+    def test_zero_divisor(self):
+        for f in FIELDS:
+            with pytest.raises(ZeroDivisionError):
+                divmod(Poly(f, [1, 1]), Poly.zero(f))
+            with pytest.raises(ZeroDivisionError):
+                Poly(f, [1, 1]).divexact(Poly.zero(f))
 
 
 class TestPowerRankSequence:

@@ -23,11 +23,7 @@ from helpers import all_matrices, filtration_sizes, mat, random_nonsingular
 
 
 def check_output(M, res):
-    canonical = direct_sum(
-        [res.regular_part] + [jordan(s, 0, M.field) for s in res.singular_sizes],
-        field=M.field,
-    )
-    assert verify_congruence(res.transform, M, canonical)
+    assert verify_congruence(res.transform, M, res.canonical())
     assert rank(res.regular_part) == res.regular_part.nrows
     assert list(res.singular_sizes) == sorted(res.singular_sizes)
     assert res.regular_part.nrows + sum(res.singular_sizes) == M.nrows
@@ -65,6 +61,23 @@ class TestExamples:
     def test_pure_jordan(self, s):
         res = regularize(jordan(s, 0))
         assert res.singular_sizes == (s,) and res.regular_part.nrows == 0
+
+    def test_canonical_form(self):
+        f = GF(5)
+        Z2 = symplectic_unit(1, f)
+        res = regularize(Z2)
+        assert res.canonical() == Z2
+        assert regularize(jordan(3, 0, f)).canonical() == jordan(3, 0, f)
+        empty = regularize(Matrix(f, [], ncols=0)).canonical()
+        assert empty.field == f and empty.nrows == empty.ncols == 0
+        # B (+) J_1(0) (+) J_2(0), block for block
+        res = regularize(direct_sum([jordan(2, 0, f), Z2, jordan(1, 0, f)]))
+        C = res.canonical()
+        assert res.singular_sizes == (1, 2) and C.nrows == 5
+        assert C.submatrix(range(2), range(2)) == res.regular_part
+        assert C.submatrix(range(2, 5), range(5)) == Matrix(
+            f, [[0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 1, 0]])
+        assert C.submatrix(range(2), range(2, 5)).is_zero()
 
 
 class TestVerifyCongruence:
