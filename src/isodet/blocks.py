@@ -82,7 +82,7 @@ def frobenius(spec: PolySpec) -> Matrix:
 
 def reciprocal(p: Poly) -> Poly:
     """The monic reversed polynomial p(0)^{-1} x^s p(1/x) of the same degree."""
-    if p.degree < 0 or not p.is_monic():
+    if not p.is_monic():
         raise ValueError("reciprocal needs a monic polynomial")
     f = p.field
     if f.is_zero(p.constant()):
@@ -97,9 +97,6 @@ def is_cosquare_block(spec: PolySpec) -> bool:
     p = spec.poly
     f = p.field
     m = spec.block_size
-    x = Poly.x(f)
-    if p == x:
-        return False
     if f.is_zero(p.constant()):
         # x divides p, so p is x itself or not irreducible; never a cosquare
         return False

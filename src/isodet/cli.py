@@ -81,7 +81,7 @@ def parse_document(text: str) -> Matrix:
     stripped = text.lstrip()
     if not stripped:
         raise DocumentError("empty input")
-    if stripped[0] == "{":
+    if stripped[0] in "{[":
         try:
             doc = json.loads(text)
         except (ValueError, RecursionError) as exc:
@@ -100,6 +100,8 @@ def parse_document(text: str) -> Matrix:
             raise DocumentError('text form starts with a "n field" line')
         try:
             n = int(head[0])
+            if n < 0:
+                raise ValueError
         except ValueError:
             raise DocumentError(f"bad size {head[0]!r}") from None
         field = parse_field(head[1])

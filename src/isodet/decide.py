@@ -183,9 +183,10 @@ def _irreducibles(f: Field):
         for a in count():
             yield Poly(f, [-a, 1])
     p = f.p
-    for a in range(p):
-        yield Poly(f, [-a, 1])
-    found = [Poly(f, [-a, 1]) for a in range(p)]
+    found = []
+    for a in range(p):  # built as they are asked for: p may be large
+        found.append(Poly(f, [-a, 1]))
+        yield found[-1]
     for k in count(2):
         for top in product(range(p), repeat=k):
             g = Poly(f, top[::-1] + (1,))

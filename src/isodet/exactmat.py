@@ -19,14 +19,16 @@ canonical residues themselves.  This module is the only one that reads or
 builds the stored form; the others use the public operations, among them
 `hstack`, `vstack`, `direct_sum` and `kron`.
 
-`rank`, `rref`, `solve`, `inverse_times` (A^{-1} C, so `inverse`),
-`nullspace` and `det` share one fraction-free elimination kernel that
-takes the stored rows as they are: a forward pass, `_eliminate`, and a
-back substitution, `_back_substitute`, that runs only when a reduced form
-is asked for (`rref`, `solve`, `inverse_times`, and `nullspace` when some
-column is free).  Their outputs are read off the kernel's rows in the
-stored form, a row over its pivot entry.  The forward pass also keeps a
-log of its row updates over Q; only `det` reads it.
+`rank`, `pivots`, `rref`, `solve`, `inverse_times` (A^{-1} C, so
+`inverse`), `nullspace` and `det` share one fraction-free elimination
+kernel that takes the stored rows as they are: a forward pass,
+`_eliminate`, and a back substitution, `_back_substitute`, that runs only
+when a reduced form is asked for (`rref`, `solve`, `inverse_times`, and
+`nullspace` when some column is free).  Their outputs are read off the
+kernel's rows in the stored form, a row over its pivot entry.  The
+forward pass also keeps a log of its row updates over Q; only `det` reads
+it.  `det_poly`, the pencil determinant det(A + t·B), has no elimination
+of its own: it calls `det` at n + 1 points and `solve` once.
 """
 
 from __future__ import annotations
@@ -524,7 +526,7 @@ def _back_substitute(rows: list[list[int]], piv: list[int], p: int | None) -> No
             row[lo:] = new
 
 
-def _pivots(A: Matrix) -> list[int]:
+def pivots(A: Matrix) -> list[int]:
     """The pivot columns of A's echelon form, from the forward pass alone."""
     return _eliminate(list(map(list, A._rows)), A.ncols, A.field.p)[0]
 
@@ -540,7 +542,7 @@ def _reduced(A: Matrix) -> tuple[list[list[int]], list[int]]:
 
 def rank(A: Matrix) -> int:
     """Rank over the matrix's field, by exact fraction-free elimination."""
-    return len(_pivots(A))
+    return len(pivots(A))
 
 
 def rref(A: Matrix) -> tuple[Matrix, list[int]]:
@@ -566,8 +568,8 @@ def nullspace(A: Matrix) -> Matrix:
     if len(piv) == n:
         return Matrix._of(f, [()] * n, 0)
     _back_substitute(rows, piv, f.p)
-    pivots = set(piv)
-    free = [j for j in range(n) if j not in pivots]
+    on_pivot = set(piv)
+    free = [j for j in range(n) if j not in on_pivot]
     basis = [[int(j == fv) for fv in free] for j in range(n)]
     p = f.p
     if p is not None:
@@ -664,10 +666,6 @@ class Poly:
     def one(field: Field) -> "Poly":
         return Poly(field, [field.one()])
 
-    @staticmethod
-    def x(field: Field) -> "Poly":
-        return Poly(field, [field.zero(), field.one()])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -761,13 +759,6 @@ class Poly:
                 rem.pop()
         return Poly(f, q), Poly(f, rem)
 
-    def divexact(self, other: "Poly") -> "Poly":
-        """Quotient self/other when the division is exact; ValueError otherwise."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
     def to_str(self, var: str = "t") -> str:
         if self.is_zero():
             return "0"
@@ -789,38 +780,22 @@ class Poly:
 
 
 def det_poly(A: Matrix, B: Matrix) -> Poly:
-    """det(A + t·B) as an exact polynomial in t, by fraction-free elimination
-    over F[t].  Works over any supported field, including F_3; the zero
+    """det(A + t·B) as an exact polynomial in t, read off `det` at the n + 1
+    points t = 0, 1, ..., n by one solve against their Vandermonde matrix
+    over Q.  An F_p pencil is lifted to its residues as integers first: det
+    is an integer polynomial in the entries, so the coefficients reduce mod
+    p at the end, and the points stay distinct when p <= n.  The zero
     polynomial signals a singular pencil."""
     if not A.is_square or not B.is_square:
         raise ValueError("det_poly needs square matrices")
     A._same_shape(B)
     f = A.field
     n = A.nrows
-    if n == 0:
-        return Poly.one(f)
-    rows = [[Poly(f, [A[i, j], B[i, j]]) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = Poly.one(f)
-    for k in range(n - 1):
-        src = None
-        for i in range(k, n):
-            if not rows[i][k].is_zero():
-                src = i
-                break
-        if src is None:
-            return Poly.zero(f)
-        if src != k:
-            rows[k], rows[src] = rows[src], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j]
-                rows[i][j] = num.divexact(prev)
-            rows[i][k] = Poly.zero(f)
-        prev = rows[k][k]
-    d = rows[n - 1][n - 1]
-    return -d if sign < 0 else d
+    if f.p is not None:
+        A, B = Matrix._of(QQ, A._rows, n), Matrix._of(QQ, B._rows, n)
+    V = Matrix(QQ, [[t ** k for k in range(n + 1)] for t in range(n + 1)])
+    D = Matrix(QQ, [[det(A + B.scale(t))] for t in range(n + 1)])
+    return Poly(f, solve(V, D).col(0))
 
 
 def power_rank_sequence(A: Matrix, mu, kmax: int) -> list[int]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
 from .blocks import jordan
-from .exactmat import Matrix, _pivots, direct_sum, hstack, nullspace, rank, solve, vstack
+from .exactmat import Matrix, direct_sum, hstack, nullspace, pivots, rank, solve, vstack
 
 
 class RegularizationError(AssertionError):
@@ -117,7 +117,7 @@ def _greedy_extend(base: Matrix, pool: Matrix) -> list[int]:
     Column j of [base | pool] is a pivot of its echelon form exactly when
     it is independent of columns 0..j-1: the greedy choice.
     """
-    return [j - base.ncols for j in _pivots(hstack(base, pool)) if j >= base.ncols]
+    return [j - base.ncols for j in pivots(hstack(base, pool)) if j >= base.ncols]
 
 
 def _decompose(G: Matrix) -> tuple[Matrix, list[range]]:

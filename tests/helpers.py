@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from isodet import (GF, QQ, DecisionReport, Matrix, Method, det, det_poly, direct_sum, gamma,
+from isodet import (GF, QQ, DecisionReport, Matrix, Method, Poly, det, direct_sum, gamma,
                     inverse, jordan, power_rank_sequence, symplectic_unit)
 from isodet.exactmat import hstack, nullspace, rank, rref
 
@@ -184,19 +184,49 @@ def ref_matmul(A: Matrix, B: Matrix):
     return out
 
 
+def ref_det_poly(A: Matrix, B: Matrix) -> Poly:
+    """det(A + t·B) by fraction-free (Bareiss) elimination over F[t], each
+    step an exact Poly division: the symbolic route, sharing no elimination
+    with the kernel's det at n + 1 points."""
+    f = A.field
+    n = A.nrows
+    if n == 0:
+        return Poly.one(f)
+    rows = [[Poly(f, [A[i, j], B[i, j]]) for j in range(n)] for i in range(n)]
+    sign = 1
+    prev = Poly.one(f)
+    for k in range(n - 1):
+        src = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
+        if src is None:
+            return Poly.zero(f)
+        if src != k:
+            rows[k], rows[src] = rows[src], rows[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q, r = divmod(rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j], prev)
+                assert r.is_zero(), "inexact Bareiss step"
+                rows[i][j] = q
+            rows[i][k] = Poly.zero(f)
+        prev = rows[k][k]
+    d = rows[n - 1][n - 1]
+    return -d if sign < 0 else d
+
+
 # --- reference for the gamma route's shift choice -----------------------------
 
 
 def ref_gamma_shift(M: Matrix):
     """The gamma route as it stood with the symbolic pencil determinant: D(t)
-    by det_poly, gamma the first of 0, 1, ..., n+1 (Q) or 0 .. p-2 (F_p) with
-    D(gamma) != 0.  None when D is nonzero but has no such base-field root."""
+    by ref_det_poly, gamma the first of 0, 1, ..., n+1 (Q) or 0 .. p-2 (F_p)
+    with D(gamma) != 0.  None when D is nonzero but has no such base-field
+    root."""
     f = M.field
     n = M.nrows
     if n == 0:
         return DecisionReport(True, Method.GAMMA_SHIFT, (), (), ())
     MT = M.transpose()
-    pencil = det_poly(MT, M)
+    pencil = ref_det_poly(MT, M)
     if pencil.is_zero():
         return DecisionReport(False, Method.GAMMA_SHIFT, (), (), ())
     candidates = range(n + 2) if f.is_rational else range(f.p - 1)

@@ -123,6 +123,12 @@ class TestReciprocal:
         with pytest.raises(ZeroConstantTermError):
             reciprocal(Poly(QQ, [0, 1]))
 
+    def test_zero_polynomial(self):
+        # refused as not monic, not as ZeroConstantTermError (a ValueError too)
+        for f in FIELDS:
+            with pytest.raises(ValueError, match="monic"):
+                reciprocal(Poly.zero(f))
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4),
            st.integers(min_value=1, max_value=3))

@@ -64,6 +64,14 @@ class TestParsing:
                            monkeypatch=monkeypatch)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ('[["1", "0"], ["0", "1"]]', 'JSON document needs "field" and "rows"'),
+        ("-1 Q\n", "bad size '-1'"),
+    ], ids=["json-array", "negative-size"])
+    def test_input_error_names_the_fault(self, capsys, monkeypatch, doc, message):
+        code, _, err = run(capsys, ["decide", "-"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2 and message in err
+
     def test_nonsquare_rejected(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["decide", "-"],
                            stdin='{"field": "Q", "rows": [["1", "2"]]}',

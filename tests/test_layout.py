@@ -31,6 +31,20 @@ def test_only_exactmat_touches_the_stored_form():
     assert storage_uses(SRC) == []
 
 
+def private_kernel_imports(src: Path) -> list[str]:
+    """module:line for every import of a _-prefixed name from exactmat by
+    another module; the elimination kernel's internals stay in exactmat."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py")) if path.name != "exactmat.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module in ("exactmat", "isodet.exactmat")
+            and any(alias.name.startswith("_") for alias in node.names)]
+
+
+def test_only_exactmat_imports_kernel_internals():
+    assert private_kernel_imports(SRC) == []
+
+
 def traced_tables() -> dict:
     """The literal name tables of perfbench/tracing.py, read from its source
     without importing it."""
