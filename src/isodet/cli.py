@@ -61,8 +61,9 @@ def parse_field(tag: str) -> Field:
 
 # Fraction("1e1000000") builds a 3.3-million-bit integer, and the cost grows
 # faster than the exponent: bound it by the limit Python puts on int(str).
+# Like Fraction, the exponent may be written in any Unicode decimal digits.
 MAX_EXPONENT = sys.int_info.default_max_str_digits
-_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def check_entry(entry: str) -> str:
@@ -70,7 +71,9 @@ def check_entry(entry: str) -> str:
     exceeds MAX_EXPONENT in magnitude."""
     m = _EXPONENT.search(entry)
     if m:
-        digits = m.group(1).replace("_", "").lstrip("0")
+        digits = m.group(1).replace("_", "")
+        # drop the leading zeros of any script; int() reads each digit
+        digits = digits[next((i for i, ch in enumerate(digits) if int(ch)), len(digits)):]
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
             raise DocumentError(f"entry exponent beyond {MAX_EXPONENT}: {entry[:40]!r}")
     return entry

@@ -29,6 +29,18 @@ kernel's rows in the stored form, a row over its pivot entry.  The
 forward pass also keeps a log of its row updates over Q; only `det` reads
 it.  `det_poly`, the pencil determinant det(A + t·B), has no elimination
 of its own: it calls `det` at n + 1 points and `solve` once.
+
+Over F_p the kernel and the product pack rows into ints of w-bit slots,
+one slot per entry, w = 2·bitlen(p) + bitlen(k) + 1 for at most k updates
+or product terms per row, so that a residue plus k products of two
+residues fit in a slot.  A row update is then one multiply-add, a product
+row one sum of the right factor's packed rows, and a row is unpacked and
+reduced mod p only when it becomes a pivot row or a product row (Dumas,
+Fousse & Salvy, J. Symbolic Comput. 46 (2011)).  A product packs when its
+rows are at least `_PACK_MIN` (8) entries wide, the forward pass when it
+has that many rows and columns, and the backward pass when it has that
+many pivots; smaller calls keep the per-entry loop, which is faster there.
+Packed rows never leave the call that packs them.
 """
 
 from __future__ import annotations
@@ -315,6 +327,14 @@ class Matrix:
             raise ValueError(f"shape or field mismatch {f!r} {self.nrows}x{self.ncols}"
                              f" * {other.field!r} {other.nrows}x{other.ncols}")
         p = f.p
+        n = other.ncols
+        if p is not None and n >= _PACK_MIN:
+            # a product row is one sum over the packed rows of the right
+            # factor; its slots stay below k·p² for k = other.nrows terms
+            w = _slot_bits(p, other.nrows)
+            packed = [_pack(r, w) for r in other._rows]
+            return Matrix._of(f, [_unpack(sum(map(mul, r, packed)), n, w, p) for r in self._rows],
+                              n)
         right, den = (other._rows, 1) if p is not None else _common(other)
         cols = list(zip(*right)) if other.nrows else [()] * other.ncols
         if p is not None:
@@ -439,12 +459,54 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
                         [da * db for da in A._dens for db in B._dens], ncols)
 
 
+# Over F_p a product packs rows at least this wide, and an elimination
+# pass packs when its rows are this wide and a row can take about this
+# many updates: the forward pass has this many rows, the backward pass
+# this many pivots.
+# On a 2-vCPU x86 host with Python 3.11, the packed forward and backward
+# pass took 1.6-2.9x as long as the per-entry loop on 4 rows over F_3 and
+# F_10007, at every width from 4 to 24, and 0.6-1.0x on 16 rows at widths
+# 6 to 24; a packed product took 1.25-1.6x as long at width 2-3, 0.6-1.05x
+# at width 8 and 0.5-0.7x at widths 10-16.
+_PACK_MIN = 8
+
+
+def _slot_bits(p: int, k: int) -> int:
+    """A slot width w with 2^w > p + k·p²: room for a residue plus k
+    products of two residues mod p."""
+    return 2 * p.bit_length() + k.bit_length() + 1
+
+
+def _pack(row: Sequence[int], w: int) -> int:
+    """The row's entries as one int of w-bit slots, the first entry in the
+    top slot, so that entry j of a row of width n sits at bit w·(n-1-j)."""
+    P = 0
+    for x in row:
+        P = (P << w) | x
+    return P
+
+
+def _unpack(P: int, n: int, w: int, p: int, c: int = 1) -> list[int]:
+    """The low n slots of P, each times c and reduced mod p."""
+    mask = (1 << w) - 1
+    return [(P >> s & mask) * c % p for s in range(w * (n - 1), -1, -w)]
+
+
 def _eliminate(rows: list[list[int]], ncols: int, p: int | None) -> tuple[list[int], int, list]:
     """Forward pass: bring integer rows to echelon form in place; return
     (pivot columns, num, log).
 
-    Over F_p each pivot row is scaled to a leading 1 and a row update is
-    reduced mod p once.  Over Q a row update is fraction-free: row ←
+    Over F_p each pivot row is scaled to a leading 1.  When k = min(m,
+    ncols), the number of updates a row can take, is at least _PACK_MIN,
+    the rows are packed (`_pack`) for the pass, each into one int of w-bit
+    slots, w = `_slot_bits`(p, k), and a row update is one multiply-add:
+    row += f·neg with neg holding (p - y) mod p in each slot.  No slot
+    borrows, and each update adds less than p², so no slot overflows into
+    the next.  A packed row is unpacked and reduced mod p only when it
+    becomes a pivot row; the rows below the rank are zero.  Smaller inputs
+    are updated entry by entry, each update reduced mod p.
+
+    Over Q a row update is fraction-free: row ←
     (a·row − b·pivot_row) / h with a/b the pivot over the row's entry in
     lowest terms and h the content of the result.  The row then stays the
     primitive integer vector along the corresponding row of Gaussian
@@ -457,6 +519,8 @@ def _eliminate(rows: list[list[int]], ncols: int, p: int | None) -> tuple[list[i
     multiplied the determinant by a/h.  Only `det` reads num and log: it
     undoes the logged updates in batches of n, each in lowest terms.
     """
+    if p is not None and min(len(rows), ncols) >= _PACK_MIN:
+        return _eliminate_packed(rows, ncols, p)
     m = len(rows)
     piv: list[int] = []
     num, log = 1, []
@@ -496,12 +560,54 @@ def _eliminate(rows: list[list[int]], ncols: int, p: int | None) -> tuple[list[i
     return piv, num, log
 
 
+def _eliminate_packed(rows: list[list[int]], ncols: int, p: int) -> tuple[list[int], int, list]:
+    """The forward pass of `_eliminate` over F_p on packed rows."""
+    m = len(rows)
+    w = _slot_bits(p, min(m, ncols))
+    mask = (1 << w) - 1
+    packed = [_pack(r, w) for r in rows]
+    piv: list[int] = []
+    num = 1
+    for c in range(ncols):
+        r = len(piv)
+        if r == m:
+            break
+        s = w * (ncols - 1 - c)
+        src = next((i for i in range(r, m) if (packed[i] >> s & mask) % p), None)
+        if src is None:
+            continue
+        if src != r:
+            packed[r], packed[src] = packed[src], packed[r]
+            num = -num
+        pv = (packed[r] >> s & mask) % p
+        if pv != 1:
+            num = num * pv % p
+        # the pivot row scaled to a leading 1 and negated; its slots left of
+        # c are 0 mod p
+        negs = _unpack(packed[r], ncols - c, w, p, -pow(pv, -1, p))
+        rows[r] = [0] * c + [-x % p for x in negs]
+        neg = _pack(negs, w)
+        for i in range(r + 1, m):
+            f = (packed[i] >> s & mask) % p
+            if f:
+                packed[i] += f * neg
+        piv.append(c)
+    rows[len(piv):] = [[0] * ncols for _ in range(m - len(piv))]
+    return piv, num, []
+
+
 def _back_substitute(rows: list[list[int]], piv: list[int], p: int | None) -> None:
     """Backward pass after `_eliminate`: clear the entries above each pivot,
     last pivot first, with the same row updates.  Row i < rank then holds a
     multiple of row i of the reduced echelon form (exactly that row over
     F_p): the row space vector with these pivot coordinates is unique up to
-    scale."""
+    scale.  Over F_p the rows are packed as in `_eliminate` when there
+    are at least _PACK_MIN pivots (so the rows are as wide), for the rank
+    - 1 updates a row can take, and unpacked when their turn as pivot row
+    comes."""
+    if p is not None and len(piv) >= _PACK_MIN:
+        _back_substitute_packed(rows, piv, p)
+        return
     for r in range(len(piv) - 1, 0, -1):
         c = piv[r]
         prow = rows[r]
@@ -524,6 +630,27 @@ def _back_substitute(rows: list[list[int]], piv: list[int], p: int | None) -> No
             if h > 1:
                 new = [x // h for x in new]
             row[lo:] = new
+
+
+def _back_substitute_packed(rows: list[list[int]], piv: list[int], p: int) -> None:
+    """The backward pass of `_back_substitute` over F_p on packed rows."""
+    n = len(rows[0])
+    w = _slot_bits(p, len(piv))
+    mask = (1 << w) - 1
+    packed = [_pack(rows[i], w) for i in range(len(piv))]
+    for r in range(len(piv) - 1, -1, -1):
+        # row r is final: the updates touch no slot left of a row's pivot
+        c = piv[r]
+        negs = _unpack(packed[r], n - c, w, p, -1)
+        rows[r] = [0] * c + [-x % p for x in negs]
+        if not r:
+            break
+        neg = _pack(negs, w)
+        s = w * (n - 1 - c)
+        for i in range(r):
+            f = (packed[i] >> s & mask) % p
+            if f:
+                packed[i] += f * neg
 
 
 def pivots(A: Matrix) -> list[int]:

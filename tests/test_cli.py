@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isodet.cli import DocumentError, build_parser, main, parse_document, print_document
+from isodet.cli import (DocumentError, build_parser, check_entry, main, parse_document,
+                        print_document)
 from isodet.oracle import DEFAULT_LIMIT
 from isodet import GF, QQ, Matrix, regularize
 
@@ -97,6 +98,25 @@ class TestParsing:
         assert time.perf_counter() - start < 1.0
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and "exponent" in proc.stderr
+
+    # Fraction reads an exponent in any Unicode decimal digits: Arabic-Indic
+    # 10^5 and 4301, fullwidth 12345, Devanagari zeros before 4301
+    @pytest.mark.parametrize("entry", ["1e١٠٠٠٠٠", "1E-٤٣٠١", "2.5e１２３４５", "1e०००४३०१"],
+                             ids=["arabic-indic", "negative", "fullwidth", "leading-zeros"])
+    def test_non_ascii_exponent_beyond_the_bound(self, entry):
+        with pytest.raises(DocumentError, match="exponent"):
+            check_entry(entry)
+
+    def test_non_ascii_exponent_within_the_bound(self):
+        for entry in ("1e٤٣٠٠", "1e٠٠٠٠٠٠٠٠٥", "1e１_０"):
+            assert check_entry(entry) == entry
+        M = parse_document('{"field": "Q", "rows": [["1e٣", "2.5e-٢"], ["1E１_０", "0e٠"]]}')
+        assert M[0, 0] == 1000 and M[0, 1] * 40 == 1 and M[1, 0] == 10 ** 10
+
+    def test_non_ascii_exponent_exits_two(self, capsys, monkeypatch):
+        doc = json.dumps({"field": "Q", "rows": [["1e١٠٠٠٠٠"]]}, ensure_ascii=False)
+        code, out, err = run(capsys, ["decide", "-"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2 and out == "" and "exponent" in err
 
     def test_small_exponents_parse(self):
         M = parse_document('{"field": "Q", "rows": [["1e3", "2.5e-2"], ["1E4300", "0e0"]]}')
@@ -280,6 +300,14 @@ class TestBlocksCommand:
         proc = run_cli("blocks", *argv)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+
+
+    @pytest.mark.parametrize("argv", [["jordan", "2", "1e١٠٠٠٠٠"],
+                                      ["frobenius", "--", "1e١٠٠٠٠٠,1"]],
+                             ids=["jordan", "frobenius"])
+    def test_non_ascii_exponent_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, ["blocks", *argv])
+        assert code == 2 and out == "" and "exponent" in err
 
 
 class TestOracleCommand:

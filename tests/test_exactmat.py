@@ -24,11 +24,13 @@ from isodet import (
 from isodet.blocks import PolySpec, direct_sum, frobenius, gamma, jordan
 from isodet.cli import parse_field
 from isodet.exactmat import (
+    _PACK_MIN,
     MAX_MODULUS,
     hstack,
     inverse_times,
     kron,
     nullspace,
+    pivots,
     rref,
     solve,
     vstack,
@@ -461,6 +463,185 @@ class TestKernelAgainstReference:
         T = Z.transpose()
         assert (T.nrows, T.ncols) == (n, m)
         assert T == Matrix.zeros(field, n, m) and T.transpose() == Z
+
+
+# --- packed F_p rows on both sides of the width cutoff ---------------------
+
+# the largest prime below MAX_MODULUS: the widest residues and slots
+LARGE_PRIME = MAX_MODULUS - 168
+PACKED_FIELDS = [GF(3), GF(10007), GF(LARGE_PRIME)]
+
+
+def widths():
+    """Row or column counts 0..14, those at the packing cutoff and beside it
+    drawn as often as all the others."""
+    return st.one_of(st.sampled_from([7, 8, 9]), st.integers(0, 14))
+
+
+def packed_fields_and(build):
+    return st.sampled_from(PACKED_FIELDS).flatmap(build)
+
+
+def augmented(A, C):
+    return Matrix(A.field, [ra + rc for ra, rc in zip(A.rows, C.rows)], ncols=A.ncols + C.ncols)
+
+
+def lu_product(f, m, n, above):
+    """L·U for L unit lower triangular m x m with -1 below the diagonal and
+    U m x n with 1 on the diagonal, `above` right of it and 0 left of it.
+    Elimination takes no row swap; every row below a pivot takes the update
+    from it with factor p - 1, and each pivot row it subtracts is U's row:
+    with above = 1 every entry right of the pivot is 1, the forward pass's
+    worst case; with above = -1 back substitution clears each entry above
+    a pivot with factor p - 1.  det is 1 when m = n."""
+    L = Matrix(f, [[1 if i == j else -1 if j < i else 0 for j in range(m)] for i in range(m)])
+    U = Matrix(f, [[1 if i == j else above if j > i else 0 for j in range(n)] for i in range(m)])
+    return Matrix(f, ref_matmul(L, U), ncols=n)
+
+
+def assert_kernel_matches_reference(A):
+    rows, piv = ref_rref(A)
+    assert pivots(A) == piv and rank(A) == len(piv)
+    assert rref(A) == (Matrix(A.field, rows, ncols=A.ncols), piv)
+    assert nullspace(A) == TestKernelAgainstReference._ref_nullspace(A)
+    if A.is_square:
+        assert det(A) == ref_det(A)
+
+
+class TestPackedRows:
+    def test_cutoff_sits_among_the_drawn_widths(self):
+        assert _PACK_MIN == 8
+
+    @settings(max_examples=80, deadline=None)
+    @given(packed_fields_and(lambda f: st.tuples(widths(), widths()).flatmap(
+        lambda mn: matrices(f, *mn, max_dim=14))))
+    def test_rank_pivots_rref_nullspace(self, A):
+        assert_kernel_matches_reference(A)
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed_fields_and(lambda f: st.tuples(widths(), widths()).flatmap(
+        lambda nk: st.tuples(matrices(f, nk[0], nk[0], max_dim=14),
+                             matrices(f, nk[0], nk[1], max_dim=14)))))
+    def test_det_and_inverse_times(self, args):
+        A, C = args
+        n = A.nrows
+        assert det(A) == ref_det(A)
+        rows, piv = ref_rref(augmented(A, C))
+        if piv[:n] != list(range(n)):
+            assert det(A) == 0
+            with pytest.raises(SingularMatrixError):
+                inverse_times(A, C, "test")
+            return
+        assert inverse_times(A, C, "test") == Matrix(A.field, [r[n:] for r in rows], ncols=C.ncols)
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed_fields_and(lambda f: st.tuples(widths(), widths(), widths()).flatmap(
+        lambda mnk: st.tuples(matrices(f, mnk[0], mnk[1], max_dim=14),
+                              matrices(f, mnk[0], mnk[2], max_dim=14)))))
+    def test_solve(self, args):
+        A, b = args
+        X = solve(A, b)
+        consistent = all(c < A.ncols for c in ref_rref(augmented(A, b))[1])
+        assert (X is not None) == consistent
+        if X is not None:
+            assert Matrix(A.field, ref_matmul(A, X), ncols=b.ncols) == b
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed_fields_and(lambda f: st.tuples(st.integers(0, 14), st.integers(0, 14),
+                                                 widths()).flatmap(
+        lambda mkn: st.tuples(matrices(f, mkn[0], mkn[1], max_dim=14),
+                              matrices(f, mkn[1], mkn[2], max_dim=14)))))
+    def test_products(self, AB):
+        A, B = AB
+        assert A * B == Matrix(A.field, ref_matmul(A, B), ncols=B.ncols)
+
+    @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_at_the_cutoff(self, field, n):
+        rng = random.Random(n)
+        p = field.p
+        for m in (n - 1, n, n + 1):
+            A = Matrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(m)])
+            assert_kernel_matches_reference(A)
+            B = Matrix(field, [[rng.randrange(p) for _ in range(m)] for _ in range(n)])
+            assert A * B == Matrix(field, ref_matmul(A, B), ncols=m)
+        S = A.submatrix(range(n), range(n))
+        C = Matrix(field, [[rng.randrange(p) for _ in range(2)] for _ in range(n)])
+        rows, piv = ref_rref(augmented(S, C))
+        if piv[:n] == list(range(n)):
+            assert inverse_times(S, C, "test") == Matrix(field, [r[n:] for r in rows], ncols=2)
+        else:
+            with pytest.raises(SingularMatrixError):
+                inverse_times(S, C, "test")
+
+    # 2^61 - 1 fills its bit length, so it leaves the least room in a slot
+    @pytest.mark.parametrize("field", [GF(3), GF(2 ** 61 - 1), GF(LARGE_PRIME)], ids=repr)
+    @pytest.mark.parametrize("above", [1, -1], ids=["forward", "backward"])
+    def test_worst_case_slot_growth(self, field, above):
+        p = field.p
+        for m, n in ((15, 15), (16, 16), (16, 20), (20, 16)):
+            A = lu_product(field, m, n, above)
+            assert_kernel_matches_reference(A)
+            assert A * A.transpose() == Matrix(field, ref_matmul(A, A.transpose()), ncols=m)
+        for n in (15, 16):
+            A = lu_product(field, n, n, above)
+            assert det(A) == 1
+            # A^{-1}(A·J) = J for J all ones: each solution row subtracted in
+            # back substitution is 1 in every slot of the right-hand side
+            J = Matrix(field, [[1] * n] * n)
+            assert inverse_times(A, A * J, "test") == J
+            # every product slot sums n products of two entries p - 1
+            full = J.scale(-1)
+            assert full * full == Matrix(field, [[n % p] * n] * n)
+            assert inverse_times(A, full, "test") == Matrix(
+                field, [r[n:] for r in ref_rref(augmented(A, full))[0]], ncols=n)
+
+    @pytest.mark.parametrize("field", [GF(3), GF(LARGE_PRIME)], ids=repr)
+    def test_row_swaps_and_scaled_pivots(self, field):
+        # row i of S is 2^i times row i + 1 (mod 16) of X; the cyclic shift
+        # is an odd permutation, so det S = -2^120 det X with det X = 1.  For
+        # X upper triangular every column takes a row swap.
+        U = Matrix(field, [[1 if i == j else -1 if j > i else 0 for j in range(16)]
+                           for i in range(16)])
+        expected = field.neg(field.convert(2 ** 120))
+        for X in (U, lu_product(field, 16, 16, 1)):
+            S = Matrix(field, [[2 ** i * x for x in X.row((i + 1) % 16)] for i in range(16)])
+            assert det(S) == expected == ref_det(S)
+            assert_kernel_matches_reference(S)
+
+    @pytest.mark.parametrize("field", [GF(3), GF(LARGE_PRIME)], ids=repr)
+    def test_rank_deficient(self, field):
+        # a zero first row forces a swap at column 0; two rows are sums of
+        # others, so the rank is 13 of 16 and three columns are free
+        A = lu_product(field, 16, 16, 1)
+        rows = [list(r) for r in A.rows]
+        rows[0] = [0] * 16
+        rows[5] = [field.add(x, y) for x, y in zip(rows[1], rows[2])]
+        rows[9] = [field.sub(x, y) for x, y in zip(rows[3], rows[12])]
+        D = Matrix(field, rows)
+        assert rank(D) == 13 and det(D) == 0 == ref_det(D)
+        assert_kernel_matches_reference(D)
+        assert_kernel_matches_reference(D.transpose())
+        X = Matrix(field, [[x] for x in range(16)])
+        assert solve(D, D * X) is not None
+        assert solve(D, Matrix(field, [[1]] + [[0]] * 15)) is None
+        with pytest.raises(SingularMatrixError):
+            inverse_times(D, Matrix.identity(field, 16), "test")
+
+    @pytest.mark.parametrize("field", [GF(3), GF(LARGE_PRIME)], ids=repr)
+    def test_empty_shapes(self, field):
+        for m, n in ((0, 9), (9, 0)):
+            Z = Matrix(field, [[]] * m, ncols=n) if m else Matrix(field, [], ncols=n)
+            assert rank(Z) == 0 and pivots(Z) == []
+            assert rref(Z) == (Matrix.zeros(field, m, n), [])
+            assert nullspace(Z) == Matrix.identity(field, n)
+            assert Z * Matrix.zeros(field, n, 9) == Matrix.zeros(field, m, 9)
+        # a sum of no terms in every slot
+        assert Matrix.zeros(field, 9, 0) * Matrix.zeros(field, 0, 9) == Matrix.zeros(field, 9, 9)
+        # nine equations in no unknowns: consistent exactly when b = 0
+        A = Matrix(field, [[]] * 9, ncols=0)
+        assert solve(A, Matrix.zeros(field, 9, 9)) == Matrix(field, [], ncols=9)
+        assert solve(A, Matrix.identity(field, 9)) is None
 
 
 # --- entrywise and structural ops against per-entry arithmetic -------------
