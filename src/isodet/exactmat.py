@@ -31,22 +31,25 @@ it.  `det_poly`, the pencil determinant det(A + t·B), has no elimination
 of its own: it calls `det` at n + 1 points and `solve` once.
 
 Over F_p the kernel and the product pack rows into ints of w-bit slots,
-one slot per entry, w = 2·bitlen(p) + bitlen(k) + 1 for at most k updates
-or product terms per row, so that a residue plus k products of two
-residues fit in a slot.  A row update is then one multiply-add, a product
-row one sum of the right factor's packed rows, and a row is unpacked and
-reduced mod p only when it becomes a pivot row or a product row (Dumas,
-Fousse & Salvy, J. Symbolic Comput. 46 (2011)).  A product packs when its
-rows are at least `_PACK_MIN` (8) entries wide, the forward pass when it
-has that many rows and columns, and the backward pass when it has that
-many pivots; smaller calls keep the per-entry loop, which is faster there.
+one slot per entry, the first entry in the top slot.  A row takes at most k
+updates (or a product row k terms), each adding at most (p - 1)^2 to a
+slot: an update adds f times the pivot row negated, (-y) mod p in each slot,
+so no slot borrows.  w = 2·bitlen(p) + bitlen(k) then keeps every slot
+below 2^w: (p - 1) + k·(p - 1)^2 < 2^bitlen(k)·p^2 < 2^w.  A row update is
+one multiply-add, a product row one sum of the right factor's packed rows,
+and a row is unpacked and reduced mod p only when it becomes a pivot row
+or a product row (Dumas, Fousse & Salvy, J. Symbolic Comput. 46 (2011)).
+Packing costs a pack and an unpack per pivot and a shift per row and
+pivot, so it pays only when rows take enough updates: a product packs
+rows at least `_PACK_MIN` (8) entries wide, an elimination pass when a row
+can take `_pack_rows(p)` updates.  Smaller calls keep the per-entry loop.
 Packed rows never leave the call that packs them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
@@ -329,8 +332,8 @@ class Matrix:
         p = f.p
         n = other.ncols
         if p is not None and n >= _PACK_MIN:
-            # a product row is one sum over the packed rows of the right
-            # factor; its slots stay below k·p² for k = other.nrows terms
+            # a product row is one sum of the right factor's packed rows,
+            # other.nrows terms per slot
             w = _slot_bits(p, other.nrows)
             packed = [_pack(r, w) for r in other._rows]
             return Matrix._of(f, [_unpack(sum(map(mul, r, packed)), n, w, p) for r in self._rows],
@@ -459,22 +462,42 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
                         [da * db for da in A._dens for db in B._dens], ncols)
 
 
-# Over F_p a product packs rows at least this wide, and an elimination
-# pass packs when its rows are this wide and a row can take about this
-# many updates: the forward pass has this many rows, the backward pass
-# this many pivots.
-# On a 2-vCPU x86 host with Python 3.11, the packed forward and backward
-# pass took 1.6-2.9x as long as the per-entry loop on 4 rows over F_3 and
-# F_10007, at every width from 4 to 24, and 0.6-1.0x on 16 rows at widths
-# 6 to 24; a packed product took 1.25-1.6x as long at width 2-3, 0.6-1.05x
-# at width 8 and 0.5-0.7x at widths 10-16.
+# Over F_p a product packs the right factor's rows when they are at least
+# this wide: on a 2-vCPU x86 host with Python 3.11 a packed product took
+# 0.84-1.1x the per-entry loop's time at width 4, 0.56-0.79x at width 8 and
+# 0.43-0.63x at width 12, square and random over F_3 to F_(2^61 - 1).
 _PACK_MIN = 8
 
 
+def _pack_rows(p: int) -> tuple[int, float]:
+    """The fewest updates a row must be able to take (rows and columns of
+    the forward pass, pivots of the backward pass) for the forward and for
+    the backward elimination pass over F_p to pack.
+
+    The loop skips a row whose multiplier is 0, a 1/p share of them, while
+    the packed pass shifts every row to read its multiplier.  In the
+    backward pass the pivots with the most rows to clear sit furthest
+    right, where the loop's updates are shortest.  So packing pays later
+    for small p and in the backward pass.  Measured on square random
+    matrices (host as above), packed over loop time falls below 1 for the
+    forward pass at 14 rows over F_3, 10 over F_5 and F_7 and 6-8 over
+    larger p; for the backward pass at 14-16 pivots over F_3 and F_5 and
+    at 12 over F_7 to F_(2^24 - 3).  Over wider p the backward pass needs
+    more pivots (14 at 30 bits, 16-20 at 31, 20-24 at 61, over 28 at 82),
+    so there it does not pack.
+    """
+    b = p.bit_length()
+    if b == 2:
+        return 14, 16
+    if b == 3:
+        return 10, 14
+    return 8, 12 if b <= 24 else inf
+
+
 def _slot_bits(p: int, k: int) -> int:
-    """A slot width w with 2^w > p + k·p²: room for a residue plus k
-    products of two residues mod p."""
-    return 2 * p.bit_length() + k.bit_length() + 1
+    """The slot width w for residues mod p and k updates or product terms
+    per row (see the module docstring)."""
+    return 2 * p.bit_length() + k.bit_length()
 
 
 def _pack(row: Sequence[int], w: int) -> int:
@@ -496,15 +519,10 @@ def _eliminate(rows: list[list[int]], ncols: int, p: int | None) -> tuple[list[i
     """Forward pass: bring integer rows to echelon form in place; return
     (pivot columns, num, log).
 
-    Over F_p each pivot row is scaled to a leading 1.  When k = min(m,
-    ncols), the number of updates a row can take, is at least _PACK_MIN,
-    the rows are packed (`_pack`) for the pass, each into one int of w-bit
-    slots, w = `_slot_bits`(p, k), and a row update is one multiply-add:
-    row += f·neg with neg holding (p - y) mod p in each slot.  No slot
-    borrows, and each update adds less than p², so no slot overflows into
-    the next.  A packed row is unpacked and reduced mod p only when it
-    becomes a pivot row; the rows below the rank are zero.  Smaller inputs
-    are updated entry by entry, each update reduced mod p.
+    Over F_p each pivot row is scaled to a leading 1.  When a row can take
+    at least the forward `_pack_rows`(p) updates (min(m, ncols) of them),
+    the pass runs on packed rows (see the module docstring); otherwise each
+    row update is reduced mod p entry by entry.
 
     Over Q a row update is fraction-free: row ←
     (a·row − b·pivot_row) / h with a/b the pivot over the row's entry in
@@ -519,7 +537,7 @@ def _eliminate(rows: list[list[int]], ncols: int, p: int | None) -> tuple[list[i
     multiplied the determinant by a/h.  Only `det` reads num and log: it
     undoes the logged updates in batches of n, each in lowest terms.
     """
-    if p is not None and min(len(rows), ncols) >= _PACK_MIN:
+    if p is not None and min(len(rows), ncols) >= _pack_rows(p)[0]:
         return _eliminate_packed(rows, ncols, p)
     m = len(rows)
     piv: list[int] = []
@@ -582,18 +600,27 @@ def _eliminate_packed(rows: list[list[int]], ncols: int, p: int) -> tuple[list[i
         pv = (packed[r] >> s & mask) % p
         if pv != 1:
             num = num * pv % p
-        # the pivot row scaled to a leading 1 and negated; its slots left of
-        # c are 0 mod p
-        negs = _unpack(packed[r], ncols - c, w, p, -pow(pv, -1, p))
-        rows[r] = [0] * c + [-x % p for x in negs]
-        neg = _pack(negs, w)
-        for i in range(r + 1, m):
-            f = (packed[i] >> s & mask) % p
-            if f:
-                packed[i] += f * neg
+        _clear_packed(packed, rows, r, c, range(r + 1, m), w, p, pow(pv, -1, p))
         piv.append(c)
     rows[len(piv):] = [[0] * ncols for _ in range(m - len(piv))]
     return piv, num, []
+
+
+def _clear_packed(packed: list[int], rows: list[list[int]], r: int, c: int,
+                  targets: range, w: int, p: int, inv: int) -> None:
+    """Unpack row r, pivot at column c, times inv into rows[r] and clear
+    column c from the packed rows in targets.  Row r's slots left of c are
+    0 mod p, as are those of the targets left of c."""
+    n = len(rows[r])
+    negs = _unpack(packed[r], n - c, w, p, -inv)
+    rows[r] = [0] * c + [-x % p for x in negs]
+    neg = _pack(negs, w)
+    s = w * (n - 1 - c)
+    mask = (1 << w) - 1
+    for i in targets:
+        f = (packed[i] >> s & mask) % p
+        if f:
+            packed[i] += f * neg
 
 
 def _back_substitute(rows: list[list[int]], piv: list[int], p: int | None) -> None:
@@ -601,11 +628,9 @@ def _back_substitute(rows: list[list[int]], piv: list[int], p: int | None) -> No
     last pivot first, with the same row updates.  Row i < rank then holds a
     multiple of row i of the reduced echelon form (exactly that row over
     F_p): the row space vector with these pivot coordinates is unique up to
-    scale.  Over F_p the rows are packed as in `_eliminate` when there
-    are at least _PACK_MIN pivots (so the rows are as wide), for the rank
-    - 1 updates a row can take, and unpacked when their turn as pivot row
-    comes."""
-    if p is not None and len(piv) >= _PACK_MIN:
+    scale.  Over F_p the pass runs on packed rows when there are at least
+    the backward `_pack_rows`(p) pivots."""
+    if p is not None and len(piv) >= _pack_rows(p)[1]:
         _back_substitute_packed(rows, piv, p)
         return
     for r in range(len(piv) - 1, 0, -1):
@@ -634,23 +659,12 @@ def _back_substitute(rows: list[list[int]], piv: list[int], p: int | None) -> No
 
 def _back_substitute_packed(rows: list[list[int]], piv: list[int], p: int) -> None:
     """The backward pass of `_back_substitute` over F_p on packed rows."""
-    n = len(rows[0])
     w = _slot_bits(p, len(piv))
-    mask = (1 << w) - 1
     packed = [_pack(rows[i], w) for i in range(len(piv))]
+    # row r is final when its turn comes: no update touches a slot left of
+    # a row's pivot
     for r in range(len(piv) - 1, -1, -1):
-        # row r is final: the updates touch no slot left of a row's pivot
-        c = piv[r]
-        negs = _unpack(packed[r], n - c, w, p, -1)
-        rows[r] = [0] * c + [-x % p for x in negs]
-        if not r:
-            break
-        neg = _pack(negs, w)
-        s = w * (n - 1 - c)
-        for i in range(r):
-            f = (packed[i] >> s & mask) % p
-            if f:
-                packed[i] += f * neg
+        _clear_packed(packed, rows, r, piv[r], range(r), w, p, 1)
 
 
 def pivots(A: Matrix) -> list[int]:

@@ -26,6 +26,7 @@ from isodet.cli import parse_field
 from isodet.exactmat import (
     _PACK_MIN,
     MAX_MODULUS,
+    _pack_rows,
     hstack,
     inverse_times,
     kron,
@@ -465,17 +466,25 @@ class TestKernelAgainstReference:
         assert T == Matrix.zeros(field, n, m) and T.transpose() == Z
 
 
-# --- packed F_p rows on both sides of the width cutoff ---------------------
+# --- packed F_p rows on both sides of the packing cutoffs ------------------
 
 # the largest prime below MAX_MODULUS: the widest residues and slots
 LARGE_PRIME = MAX_MODULUS - 168
 PACKED_FIELDS = [GF(3), GF(10007), GF(LARGE_PRIME)]
+MAX_WIDTH = 17
 
 
-def widths():
-    """Row or column counts 0..14, those at the packing cutoff and beside it
+def near_cutoffs(f):
+    """The row and column counts at which a product, the forward pass or
+    the backward pass over f starts to pack, and those beside them."""
+    cuts = [c for c in (_PACK_MIN, *_pack_rows(f.p)) if c <= MAX_WIDTH]
+    return sorted({c + d for c in cuts for d in (-1, 0, 1)})
+
+
+def widths(f):
+    """Row or column counts 0..MAX_WIDTH, those near a packing cutoff of f
     drawn as often as all the others."""
-    return st.one_of(st.sampled_from([7, 8, 9]), st.integers(0, 14))
+    return st.one_of(st.sampled_from(near_cutoffs(f)), st.integers(0, MAX_WIDTH))
 
 
 def packed_fields_and(build):
@@ -509,19 +518,15 @@ def assert_kernel_matches_reference(A):
 
 
 class TestPackedRows:
-    def test_cutoff_sits_among_the_drawn_widths(self):
-        assert _PACK_MIN == 8
-
     @settings(max_examples=80, deadline=None)
-    @given(packed_fields_and(lambda f: st.tuples(widths(), widths()).flatmap(
-        lambda mn: matrices(f, *mn, max_dim=14))))
+    @given(packed_fields_and(lambda f: st.tuples(widths(f), widths(f)).flatmap(
+        lambda mn: matrices(f, *mn))))
     def test_rank_pivots_rref_nullspace(self, A):
         assert_kernel_matches_reference(A)
 
     @settings(max_examples=60, deadline=None)
-    @given(packed_fields_and(lambda f: st.tuples(widths(), widths()).flatmap(
-        lambda nk: st.tuples(matrices(f, nk[0], nk[0], max_dim=14),
-                             matrices(f, nk[0], nk[1], max_dim=14)))))
+    @given(packed_fields_and(lambda f: st.tuples(widths(f), widths(f)).flatmap(
+        lambda nk: st.tuples(matrices(f, nk[0], nk[0]), matrices(f, nk[0], nk[1])))))
     def test_det_and_inverse_times(self, args):
         A, C = args
         n = A.nrows
@@ -535,9 +540,8 @@ class TestPackedRows:
         assert inverse_times(A, C, "test") == Matrix(A.field, [r[n:] for r in rows], ncols=C.ncols)
 
     @settings(max_examples=60, deadline=None)
-    @given(packed_fields_and(lambda f: st.tuples(widths(), widths(), widths()).flatmap(
-        lambda mnk: st.tuples(matrices(f, mnk[0], mnk[1], max_dim=14),
-                              matrices(f, mnk[0], mnk[2], max_dim=14)))))
+    @given(packed_fields_and(lambda f: st.tuples(widths(f), widths(f), widths(f)).flatmap(
+        lambda mnk: st.tuples(matrices(f, mnk[0], mnk[1]), matrices(f, mnk[0], mnk[2])))))
     def test_solve(self, args):
         A, b = args
         X = solve(A, b)
@@ -547,16 +551,15 @@ class TestPackedRows:
             assert Matrix(A.field, ref_matmul(A, X), ncols=b.ncols) == b
 
     @settings(max_examples=60, deadline=None)
-    @given(packed_fields_and(lambda f: st.tuples(st.integers(0, 14), st.integers(0, 14),
-                                                 widths()).flatmap(
-        lambda mkn: st.tuples(matrices(f, mkn[0], mkn[1], max_dim=14),
-                              matrices(f, mkn[1], mkn[2], max_dim=14)))))
+    @given(packed_fields_and(lambda f: st.tuples(
+        st.integers(0, MAX_WIDTH), st.integers(0, MAX_WIDTH), widths(f)).flatmap(
+        lambda mkn: st.tuples(matrices(f, mkn[0], mkn[1]), matrices(f, mkn[1], mkn[2])))))
     def test_products(self, AB):
         A, B = AB
         assert A * B == Matrix(A.field, ref_matmul(A, B), ncols=B.ncols)
 
-    @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
-    @pytest.mark.parametrize("n", [7, 8, 9])
+    @pytest.mark.parametrize("field, n", [(f, n) for f in PACKED_FIELDS for n in near_cutoffs(f)],
+                             ids=lambda x: repr(x) if isinstance(x, Field) else str(x))
     def test_at_the_cutoff(self, field, n):
         rng = random.Random(n)
         p = field.p
@@ -574,8 +577,11 @@ class TestPackedRows:
             with pytest.raises(SingularMatrixError):
                 inverse_times(S, C, "test")
 
-    # 2^61 - 1 fills its bit length, so it leaves the least room in a slot
-    @pytest.mark.parametrize("field", [GF(3), GF(2 ** 61 - 1), GF(LARGE_PRIME)], ids=repr)
+    # 2^61 - 1 and 2^24 - 3 nearly fill their bit length, so they leave the
+    # least room in a slot; the backward pass packs over the latter, not the
+    # former.  k = 15 updates come nearest to 2^bitlen(k).
+    @pytest.mark.parametrize("field", [GF(3), GF(2 ** 24 - 3), GF(2 ** 61 - 1), GF(LARGE_PRIME)],
+                             ids=repr)
     @pytest.mark.parametrize("above", [1, -1], ids=["forward", "backward"])
     def test_worst_case_slot_growth(self, field, above):
         p = field.p
