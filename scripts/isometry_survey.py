@@ -3,18 +3,23 @@
 group order, determinant tally, and whether every determinant is one.
 
 Example:
-    python3 scripts/isometry_survey.py --p 3 --max-size 3
+    python3 scripts/isometry_survey.py --p 3 --max-size 5
 """
 
 import argparse
 import time
 
-from isodet import GF, Matrix, direct_sum, enumerate_isometries, gamma, jordan, symplectic_unit
+from isodet import (GF, BudgetExceededError, Matrix, direct_sum, enumerate_isometries, gamma,
+                    jordan, symplectic_unit)
 
 
 def survey(label: str, M: Matrix) -> None:
     t0 = time.time()
-    s = enumerate_isometries(M)
+    try:
+        s = enumerate_isometries(M)
+    except BudgetExceededError:
+        print(f"{label:<22} beyond the oracle's default budget")
+        return
     dt = time.time() - t0
     tally = dict(sorted(s.det_counts.items()))
     print(f"{label:<22} order {s.group_order:>8}  dets {tally}  "
@@ -24,8 +29,8 @@ def survey(label: str, M: Matrix) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--p", type=int, default=3)
-    ap.add_argument("--max-size", type=int, default=3,
-                    help="largest block size to enumerate (4 is ~a minute at p=3)")
+    ap.add_argument("--max-size", type=int, default=5,
+                    help="largest block size to enumerate")
     args = ap.parse_args()
     f = GF(args.p)
     for m in range(1, args.max_size // 2 + 1):

@@ -44,7 +44,6 @@ from .exactmat import (
 )
 from .oracle import (
     BudgetExceededError,
-    BulkOracle,
     IsometrySummary,
     enumerate_isometries,
     oracle_verdict,
@@ -63,7 +62,7 @@ __all__ = [
     "DecisionReport", "Method", "NoOddBlockError",
     "certificate_singular", "decide", "decide_gamma_shift", "odd_unipotent_counts",
     "skew_fast_path", "verify_certificate",
-    "BudgetExceededError", "BulkOracle", "IsometrySummary",
+    "BudgetExceededError", "IsometrySummary",
     "enumerate_isometries", "oracle_verdict", "random_congruence",
     "random_transform",
 ]

@@ -310,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="enumerate the isometry group over F_p")
     o.add_argument("matrix", help="path to a matrix document, or - for stdin")
     o.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
-                   help="candidate budget (default admits F3 up to 4x4, F5 up to 3x3)")
+                   help="budget of (partial matrix, vector) pairs the column-by-column "
+                        "search tests; the default admits every form over F3 up to 4x4 "
+                        "and over F5 and F7 up to 3x3, and some larger ones")
     o.add_argument("--json", action="store_true")
     o.set_defaults(func=_cmd_oracle)
     return ap

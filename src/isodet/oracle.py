@@ -1,16 +1,19 @@
-"""Brute-force ground truth over small prime fields: enumerate all matrices,
-keep the isometries S^T M S = M, and tally their determinants.
+"""Brute-force ground truth over small prime fields: find every isometry
+S^T M S = M column by column and tally the determinants.
 
-Candidates are visited in a fixed order: index i in [0, p^(n*n)) is written
-base p and filled into the matrix row-major, entry (r, c) taking digit
-r*n + c (least significant first).  Ranges of indices can be processed
-independently and the partial summaries added, so the scan shards cleanly.
+Once the columns s_i, i < j, of S are fixed, column j is a vector v of
+F_p^n with v^T M v = M_jj, and the 2j conditions s_i^T M v = M_ij and
+v^T M s_i = M_ji are linear in v.  The search goes level by level: every
+partial matrix S[:, :j] is paired with every nonzero v that meets the first
+condition, and the pairs that meet the linear ones are the partial matrices
+of the next level.  Pairs are tested in numpy blocks of at most `_BLOCK`, and
+the leaves are tallied by determinant as they come (`_det_mod`, one batched
+elimination mod p).  Entries stay reduced mod p, so int64 stays exact.
 
-Every entry point reads one candidate stream, `_nonsingular`, which holds the
-budget check and yields batches of nonsingular candidates with their
-determinants, and applies one congruence test, `_congruence_hits`.  Batches
-store residues in the smallest unsigned type that holds p - 1 and widen to
-int64 for arithmetic, which stays exact because every value is reduced mod p.
+`limit` bounds the (partial matrix, vector) pairs: a level of P partial
+matrices costs P·p^n, charged before it is built, and a level stops with
+BudgetExceededError as soon as its partial matrices would price the next
+level out.  So the search never holds more than limit / p^n of them.
 """
 
 from __future__ import annotations
@@ -22,20 +25,20 @@ import numpy as np
 
 from .exactmat import Field, Matrix, rank
 
-#: visiting more candidates than this raises BudgetExceededError; the default
-#: admits p=3 up to n=4 (3^16 ~ 4.3e7) and p=5 up to n=3 (5^9 ~ 2.0e6).
+#: testing more (partial matrix, vector) pairs than this raises
+#: BudgetExceededError.
 DEFAULT_LIMIT = 50_000_000
 
-_BATCH = 1 << 17
+_BLOCK = 1 << 16
 
 
 class BudgetExceededError(RuntimeError):
-    """The requested enumeration is larger than the allowed budget."""
+    """The requested search is larger than the allowed budget."""
 
 
 @dataclass(frozen=True)
 class IsometrySummary:
-    """Isometry group of a form over F_p, by exhaustive enumeration."""
+    """Isometry group of a form over F_p, by exhaustive search."""
 
     group_order: int
     det_counts: dict[int, int]
@@ -52,70 +55,76 @@ def _form(M: Matrix) -> tuple[np.ndarray, int]:
     return np.array(M.to_lists(), dtype=np.int64).reshape(M.nrows, M.nrows) % p, p
 
 
-def _candidates(lo: int, hi: int, n: int, p: int) -> np.ndarray:
-    """Candidate matrices for indices [lo, hi), shape (hi-lo, n, n)."""
-    ids = np.arange(lo, hi, dtype=np.int64)
-    powers = p ** np.arange(n * n, dtype=np.int64)
-    digits = (ids[:, None] // powers[None, :]) % p
-    return digits.reshape(hi - lo, n, n).astype(np.min_scalar_type(p - 1))
+def _det_mod(S: np.ndarray, p: int) -> np.ndarray:
+    """Determinants mod p of a batch of n x n residue matrices, any n:
+    Gaussian elimination in int64, each pivot inverted as pivot^(p-2)."""
+    A = S.astype(np.int64)
+    at = np.arange(len(A))
+    d = np.ones(len(A), np.int64)
+    for c in range(A.shape[1]):
+        r = c + (A[:, c:, c] != 0).argmax(axis=1)  # c itself when the column is zero
+        A[at, c], A[at, r] = A[at, r], A[at, c]
+        piv = A[:, c, c]
+        d = np.where(r == c, d, -d) * piv % p
+        inv = np.ones_like(piv)
+        for bit in bin(p - 2)[2:]:  # square and multiply
+            inv = inv * inv % p * (piv if bit == "1" else 1) % p
+        A[:, c + 1:] -= (A[:, c + 1:, c] * inv[:, None] % p)[:, :, None] * A[:, None, c]
+        A %= p
+    return d
 
 
-def _det_mod(mats: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a batch of n x n integer matrices, n <= 4."""
-    n = mats.shape[1]
-    m = mats.astype(np.int64)
-    if n < 2:  # the diagonal's product, which is 1 when n = 0
-        return m.diagonal(axis1=1, axis2=2).prod(axis=1) % p
-    if n == 2:
-        return (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % p
-    if n == 3:
-        d = (
-            m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
-            - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
-            + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
-        )
-        return d % p
-    d = np.zeros(mats.shape[0], dtype=np.int64)
-    sign = 1
-    for j in range(4):
-        cols = [c for c in range(4) if c != j]
-        minor = m[:, 1:, :][:, :, cols]
-        d += sign * m[:, 0, j] * _det_mod(minor, p) % p
-        sign = -sign
-    return d % p
+def _charge(pairs: int, limit: int) -> int:
+    """pairs, or BudgetExceededError if they exceed the limit."""
+    if pairs > limit:
+        raise BudgetExceededError(f"the search needs at least {pairs} (partial matrix, vector) "
+                                  f"pairs, more than the limit {limit}")
+    return pairs
 
 
-def _nonsingular(n: int, p: int, limit: int):
-    """Batches (S, det S mod p) of the nonsingular S in M_n(F_p), in index
-    order; BudgetExceededError before the first batch if the scan is too big."""
-    total = p ** (n * n)
-    if total > limit:
-        raise BudgetExceededError(f"{total} candidates exceed the limit {limit}")
-    if n > 4:
-        raise BudgetExceededError(f"the scan's determinant covers n <= 4, not n = {n}")
-    for lo in range(0, total, _BATCH):
-        S = _candidates(lo, min(lo + _BATCH, total), n, p)
-        d = _det_mod(S, p)
-        keep = d != 0
-        # rebind before yielding, so the unfiltered batch is freed meanwhile
-        S, d = S[keep], d[keep]
-        yield S, d
+def _extend(partials: np.ndarray, A: np.ndarray, p: int):
+    """Blocks of the pairs (S[:, :j], v) that meet column j's conditions,
+    as partial matrices S[:, :j+1]."""
+    n, j = partials.shape[1:]
+    rhs = np.concatenate([A[:j, j], A[j, :j]])[:, None]
+    for lo in range(0, p ** n, _BLOCK):
+        ids = np.arange(lo, min(lo + _BLOCK, p ** n), dtype=np.int64)
+        V = ids[:, None] // p ** np.arange(n, dtype=np.int64) % p
+        V = V[((V @ A % p * V).sum(axis=1) % p == A[j, j]) & V.any(axis=1)]
+        step = max(1, _BLOCK // max(len(V), 1))
+        for a in range(0, len(partials), step):
+            S = partials[a:a + step].transpose(0, 2, 1).astype(np.int64)
+            lhs = np.concatenate([S @ A, S @ A.T], axis=1) % p
+            b, v = np.nonzero((lhs @ V.T % p == rhs).all(axis=1))
+            yield np.concatenate([partials[a + b], V[v, :, None].astype(partials.dtype)], axis=2)
 
 
-def _congruence_hits(S: np.ndarray, A: np.ndarray, p: int) -> np.ndarray:
-    """Boolean mask of batch entries with S^T A S = A (mod p)."""
-    AS = np.matmul(A[None, :, :], S.astype(np.int64)) % p
-    T = np.matmul(S.transpose(0, 2, 1).astype(np.int64), AS) % p
-    return (T == A[None, :, :]).all(axis=(1, 2))
+def _leaves(A: np.ndarray, p: int, limit: int):
+    """Blocks of every S, singular ones included, with S^T A S = A mod p."""
+    n = len(A)
+    blocks, spent = [np.zeros((1, n, 0), np.min_scalar_type(p - 1))], 0
+    for j in range(n):
+        partials, blocks, kept = np.concatenate(blocks), [], 0
+        spent = _charge(spent + len(partials) * p ** n, limit)
+        for block in _extend(partials, A, p):
+            if j == n - 1:
+                yield block
+            else:
+                blocks.append(block)
+                kept += len(block)
+                _charge(spent + kept * p ** n, limit)
+    if n == 0:
+        yield blocks[0]
 
 
 def enumerate_isometries(M: Matrix, limit: int = DEFAULT_LIMIT) -> IsometrySummary:
-    """Visit every S in M_n(F_p), keep nonsingular solutions of S^T M S = M,
-    and tally their determinants."""
+    """Find every nonsingular S with S^T M S = M, column by column, and
+    tally the determinants."""
     A, p = _form(M)
     det_counts: dict[int, int] = {}
-    for S, d in _nonsingular(M.nrows, p, limit):
-        vals, cnts = np.unique(d[_congruence_hits(S, A, p)], return_counts=True)
+    for S in _leaves(A, p, limit):
+        d = _det_mod(S, p)
+        vals, cnts = np.unique(d[d != 0], return_counts=True)
         for v, c in zip(vals.tolist(), cnts.tolist()):
             det_counts[v] = det_counts.get(v, 0) + c
     order = sum(det_counts.values())
@@ -123,37 +132,8 @@ def enumerate_isometries(M: Matrix, limit: int = DEFAULT_LIMIT) -> IsometrySumma
 
 
 def oracle_verdict(M: Matrix) -> bool:
-    """Membership by definition: True iff no isometry with det != 1 exists.
-
-    Tests only determinant != 1 candidates and stops at the first batch that
-    holds a witness.
-    """
-    A, p = _form(M)
-    return not any(_congruence_hits(S[d != 1], A, p).any()
-                   for S, d in _nonsingular(M.nrows, p, DEFAULT_LIMIT))
-
-
-class BulkOracle:
-    """Verdicts for every matrix in M_n(F_p) against one precomputed scan set.
-
-    The determinant != 1 part of GL_n(F_p) is materialized once; each query
-    then needs a single vectorized congruence pass.  Matrices are addressed
-    by their enumeration index (same digit order as the candidate scan).
-    """
-
-    def __init__(self, n: int, p: int):
-        Field(p)  # validates the modulus
-        self.n = n
-        self.p = p
-        self._scan = np.concatenate([S[d != 1] for S, d in _nonsingular(n, p, DEFAULT_LIMIT)])
-
-    def matrix_from_index(self, idx: int, field: Field) -> Matrix:
-        rows = _candidates(idx, idx + 1, self.n, self.p)[0].tolist()
-        return Matrix(field, rows)
-
-    def verdict(self, M: Matrix) -> bool:
-        A, _ = _form(M)
-        return not _congruence_hits(self._scan, A % self.p, self.p).any()
+    """Membership by definition: True iff no isometry has det != 1."""
+    return enumerate_isometries(M).all_det_one
 
 
 def random_transform(field: Field, n: int, seed: int) -> Matrix:

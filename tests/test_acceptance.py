@@ -1,8 +1,9 @@
 """Acceptance suite.  Each criterion prints one PASS line when it holds;
 run with `pytest tests/test_acceptance.py -s` to see them.
 
-The exhaustive scans (all of M_2(F_3), M_3(F_3), M_2(F_5)) are computed once
-per session and shared across criteria.
+The exhaustive sets (all of M_2(F_3), M_3(F_3), M_2(F_5), with their decide
+reports and oracle verdicts) are computed once per module and shared across
+criteria.
 """
 
 import random
@@ -22,6 +23,7 @@ from isodet import (
     inverse,
     is_cosquare_block,
     jordan,
+    oracle_verdict,
     power_rank_sequence,
     rank,
     regularize,
@@ -29,9 +31,7 @@ from isodet import (
     verify_certificate,
     verify_congruence,
 )
-from isodet.oracle import BulkOracle
-
-from helpers import random_nonsingular, random_rational
+from helpers import all_matrices, random_nonsingular, random_rational
 
 
 def _ok(num, text):
@@ -42,16 +42,8 @@ def _ok(num, text):
 def exhaustive_sets():
     """decide reports and oracle verdicts for every matrix of the three
     exhaustive families."""
-    data = {}
-    for n, p in ((2, 3), (3, 3), (2, 5)):
-        f = GF(p)
-        bulk = BulkOracle(n, p)
-        entries = []
-        for idx in range(p ** (n * n)):
-            M = bulk.matrix_from_index(idx, f)
-            entries.append((M, decide(M), bulk.verdict(M)))
-        data[(n, p)] = entries
-    return data
+    return {(n, p): [(M, decide(M), oracle_verdict(M)) for M in all_matrices(n, p)]
+            for n, p in ((2, 3), (3, 3), (2, 5))}
 
 
 def test_criterion_1_oracle_equivalence(exhaustive_sets):

@@ -339,12 +339,13 @@ class TestOracleCommand:
         code, _, err = run(capsys, ["oracle", "-"], stdin=doc, monkeypatch=monkeypatch)
         assert code == 2
 
-    def test_five_by_five_exits_two_within_budget(self):
-        # 3^25 candidates fit the limit, but the scan's determinant stops at n = 4
-        doc = "5 F3\n" + "0 0 0 0 0\n" * 5
-        proc = run_cli("oracle", "-", "--limit", "1000000000000", stdin=doc)
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+    def test_five_by_five_within_budget_answers(self, capsys, monkeypatch):
+        # Gamma_5 over F_3: 18 isometries, half of them with determinant -1
+        _, doc, _ = run(capsys, ["blocks", "gamma", "5", "--field", "F3"])
+        code, out, _ = run(capsys, ["oracle", "-", "--json"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 1
+        assert json.loads(out) == {"group_order": 18, "det_counts": {"1": 9, "2": 9},
+                                   "all_det_one": False, "verdict": "det-not-one-exists"}
 
 
 class TestUnreadableInput:

@@ -2,11 +2,13 @@
 J_s(0), Gamma_r and Z_m (`helpers.known_sum`) at n = 12..48 over Q, F_3,
 F_7 and F_10007.  The singular sizes, the odd-block counts, the verdict and
 whether a certificate exists all follow from the summands, so both routes
-are checked against answers computed without them."""
+are checked against answers computed without them.  At n = 5..6 over F_3
+the oracle's search still finishes, and its isometry group is a third
+check of the verdict."""
 
 import pytest
 
-from isodet import GF, QQ, decide, decide_gamma_shift, verify_certificate
+from isodet import GF, QQ, decide, decide_gamma_shift, enumerate_isometries, verify_certificate
 
 from helpers import known_sum
 
@@ -49,3 +51,19 @@ def test_known_answers(field, spec):
     # an odd singular block makes the pencil singular, and the route stops
     # before it counts
     assert gam.odd_block_counts == (() if odd else counts)
+
+
+# (spec, order of the isometry group over F_3)
+ORACLE_CASES = [("G5", 18), ("J5", 18), ("J2+G3", 12), ("G4+G1", 36),  # n = 5
+                ("J6", 18), ("J3+G3", 972)]                             # n = 6
+
+
+@pytest.mark.parametrize("spec, order", ORACLE_CASES, ids=[s for s, _ in ORACLE_CASES])
+def test_oracle_known_answers(spec, order):
+    M, _, _, verdict = known_sum(spec, GF(3), seed=spec)
+    summary = enumerate_isometries(M)
+    # det maps the group onto {1} or onto F_3* = {1, 2}, halving it in the second case
+    assert summary.det_counts == ({1: order} if verdict else {1: order // 2, 2: order // 2})
+    assert summary.all_det_one is verdict
+    assert decide(M).all_det_one is verdict
+    assert decide_gamma_shift(M).all_det_one is verdict

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,9 +7,7 @@ from isodet import (
     GF,
     Matrix,
     BudgetExceededError,
-    BulkOracle,
     IsometrySummary,
-    decide,
     enumerate_isometries,
     jordan,
     oracle_verdict,
@@ -19,7 +18,7 @@ from isodet import (
 )
 from isodet.oracle import random_transform
 
-from helpers import all_matrices, mat, ref_isometry_dets
+from helpers import all_matrices, mat, ref_isometry_dets, scan_isometry_dets
 
 
 def order_gl(n, q):
@@ -48,8 +47,25 @@ class TestEnumerate:
         assert not s.all_det_one
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            enumerate_isometries(Matrix.zeros(GF(3), 5, 5))
+        # the budget is checked before a level's partial matrices pile up
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                enumerate_isometries(Matrix.zeros(GF(3), 5, 5))
+            assert tracemalloc.get_traced_memory()[1] < 16 * 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def test_limit_counts_pairs(self):
+        # the root pairs the empty partial matrix with the 9 vectors of
+        # F_3^2; every nonzero one is a first column of an isometry of the
+        # symplectic form, so the second level pairs 8 partial matrices
+        # with 9 vectors
+        M = symplectic_unit(1, GF(3))
+        for limit in (8, 9 + 8 * 9 - 1):
+            with pytest.raises(BudgetExceededError):
+                enumerate_isometries(M, limit=limit)
+        assert enumerate_isometries(M, limit=9 + 8 * 9).group_order == 24
 
     def test_lagrange(self):
         rng = random.Random(2)
@@ -90,53 +106,48 @@ class TestVerdict:
             assert oracle_verdict(M) == enumerate_isometries(M).all_det_one
 
 
-class TestBulkOracle:
-    def test_matches_per_matrix(self):
-        b = BulkOracle(2, 3)
-        f = GF(3)
-        for idx in range(81):
-            M = b.matrix_from_index(idx, f)
-            assert b.verdict(M) == oracle_verdict(M)
-
-    def test_matches_decide_f5(self):
-        b = BulkOracle(2, 5)
-        f = GF(5)
-        rng = random.Random(4)
-        for _ in range(60):
-            idx = rng.randrange(5 ** 4)
-            M = b.matrix_from_index(idx, f)
-            assert b.verdict(M) == decide(M).all_det_one
-
-
 class TestAgainstReference:
-    """The scan's three entry points against ref_isometry_dets."""
+    """The search against the numpy scan and, where it is fast enough,
+    against ref_isometry_dets."""
 
-    def check(self, M, bulk):
-        tally = ref_isometry_dets(M)
+    def check(self, M, by_matrices=False):
+        tally = ref_isometry_dets(M) if by_matrices else scan_isometry_dets(M)
         order = sum(tally.values())
         all_one = tally.get(1, 0) == order
-        assert enumerate_isometries(M) == IsometrySummary(order, tally, all_one)
+        assert enumerate_isometries(M) == IsometrySummary(order, tally, all_one), M.to_lists()
         assert oracle_verdict(M) == all_one
-        assert bulk.verdict(M) == all_one
 
     def test_all_m2_f3(self):
-        bulk = BulkOracle(2, 3)
         for M in all_matrices(2, 3):
-            self.check(M, bulk)
+            self.check(M)
+            self.check(M, by_matrices=True)
+
+    def test_all_m2_f5(self):
+        for M in all_matrices(2, 5):
+            self.check(M)
 
     def test_sampled_m2_f5(self):
-        bulk = BulkOracle(2, 5)
         f = GF(5)
         rng = random.Random(11)
         for _ in range(60):
-            self.check(Matrix(f, [[rng.randrange(5) for _ in range(2)] for _ in range(2)]), bulk)
+            M = Matrix(f, [[rng.randrange(5) for _ in range(2)] for _ in range(2)])
+            self.check(M, by_matrices=True)
+
+    @pytest.mark.parametrize("p, count", [(3, 40), (5, 2)])
+    def test_sampled_3x3(self, p, count):
+        f = GF(p)
+        rng = random.Random(p)
+        for _ in range(count):
+            self.check(Matrix(f, [[rng.randrange(p) for _ in range(3)] for _ in range(3)]))
 
     @pytest.mark.parametrize("p", [32771, 65539])
     def test_residues_above_int16(self, p):
-        # residues up to p - 1 must survive the batch's storage type
-        bulk = BulkOracle(1, p)
+        # residues up to p - 1 must survive the partial matrices' storage type
         for v in (1, 2):
-            self.check(Matrix(GF(p), [[v]]), bulk)
+            self.check(Matrix(GF(p), [[v]]))
+
+    def test_empty_form(self):
+        assert enumerate_isometries(Matrix.zeros(GF(3), 0, 0)) == IsometrySummary(1, {1: 1}, True)
 
 
 class TestRandomCongruence:
