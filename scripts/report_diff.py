@@ -9,7 +9,8 @@ line per report: the payload of `isodet decide --json --certificate
 the `regularization` object flattened into `regularization.<key>` fields.
 Every `decide` report is dumped and, on `fp-crosscheck` and `q-regularize`,
 every `decide_gamma_shift` report.  The script then lists each field that
-differs between the trees and exits 1 if any does, or 2 if a tree cannot
+differs between the trees, ends with a tally of the differences per
+(route, field), and exits 1 if any field differs, or 2 if a tree cannot
 be dumped.
 
 Example (a second checkout of the parent commit in ../parent):
@@ -23,6 +24,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 WORKLOADS = ("q-regularize", "fp-crosscheck", "small-exhaustive")
@@ -74,6 +76,24 @@ def reports(tree: Path, seeds: str) -> dict:
     return docs
 
 
+def differences(old: dict, new: dict) -> list[tuple[str, str, str]]:
+    """(key, route, what) for each report only one tree has and for each
+    field that differs between the trees' reports."""
+    diffs = [(key, route, f"only in {'old' if (key, route) in old else 'new'}")
+             for key, route in sorted(old.keys() ^ new.keys())]
+    for key, route in sorted(old.keys() & new.keys()):
+        a, b = old[key, route], new[key, route]
+        diffs += [(key, route, f"{field} differs") for field in sorted(a.keys() | b.keys())
+                  if a.get(field) != b.get(field)]
+    return diffs
+
+
+def tally(diffs: list[tuple[str, str, str]]) -> list[str]:
+    """One line per (route, what) with its number of differences, most first."""
+    counts = Counter((route, what) for _key, route, what in diffs)
+    return [f"{n:6d}  {route}: {what}" for (route, what), n in counts.most_common()]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("old", nargs="?", type=Path, help="source tree with src/ and perfbench/")
@@ -94,16 +114,13 @@ def main() -> int:
             print(f"report_diff: cannot dump the reports of {tree}:\n{exc.stderr}", file=sys.stderr)
             return 2
     old, new = docs
-    diffs = [f"{key} {route}: only in {'old' if (key, route) in old else 'new'}"
-             for key, route in sorted(old.keys() ^ new.keys())]
-    for key, route in sorted(old.keys() & new.keys()):
-        a, b = old[key, route], new[key, route]
-        diffs += [f"{key} {route}: {field} differs" for field in sorted(a.keys() | b.keys())
-                  if a.get(field) != b.get(field)]
-    for line in diffs:
-        print(line)
+    diffs = differences(old, new)
+    for key, route, what in diffs:
+        print(f"{key} {route}: {what}")
     print(f"{len(old.keys() & new.keys())} reports compared on seeds {args.seeds}; "
           f"{len(diffs)} differences")
+    for line in tally(diffs):
+        print(line)
     return 1 if diffs else 0
 
 

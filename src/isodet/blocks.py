@@ -1,7 +1,8 @@
 """Canonical building blocks: Jordan blocks, anti-triangular blocks, companion
 matrices of prime-power polynomials, skew and direct sums, symplectic units,
 and the rectangular pencil blocks.  These power the decision paths, the test
-generators and the CLI `blocks` subcommand.
+generators and the CLI `blocks` subcommand.  Each block is built from its
+formula; none runs an elimination.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from .exactmat import (
     Poly,
     direct_sum,  # defined next to hstack/vstack, also served as blocks.direct_sum
     hstack,
-    inverse_times,
-    power_rank_sequence,
     vstack,
 )
 
@@ -55,19 +54,24 @@ def gamma(r: int, field: Field = QQ) -> Matrix:
     """The r x r anti-triangular block with (-1)^(i+1) on the two central
     anti-diagonals (1-based i+j in {r+1, r+2}), zero elsewhere.
 
-    The constructor checks the defining property of the block: the rank
-    sequence of its cosquare at eigenvalue (-1)^(r+1) is [r, r-1, ..., 1, 0],
-    i.e. the cosquare is similar to a single Jordan block of that eigenvalue.
+    Its cosquare G^{-T} G is one Jordan block of eigenvalue mu = (-1)^(r+1)
+    over Q and over every F_p with p odd (Horn & Sergeichuk, LAA 416
+    (2006)), so nothing is checked at run time.  Reversing the rows gives
+    G = J D (I + N): J the exchange matrix, D = diag((-1)^(r-i)), N the
+    nilpotent shift with ones on the superdiagonal.  As J N^T J = N,
+    J D J = mu D and D N D = -N,
+
+        G^{-T} G = J D (I + N^T)^{-1} J D (I + N) = mu (I - N)^{-1} (I + N)
+                 = mu (I + 2N + 2N^2 + ... + 2N^(r-1)),
+
+    an integer upper triangular matrix with mu on the diagonal and 2 mu
+    everywhere above it.  So (G^{-T} G - mu I)^k = (2 mu)^k N^k (I - N)^{-k}
+    has rank r - k whenever 2 != 0.
     """
     if r < 1:
         raise ValueError("gamma block size must be >= 1")
-    G = Matrix(field, [[(-1) ** (i + 1) if i + j in (r + 1, r + 2) else 0
-                        for j in range(1, r + 1)] for i in range(1, r + 1)])
-    cosq = inverse_times(G.transpose(), G, "gamma")
-    seq = power_rank_sequence(cosq, (-1) ** (r + 1), r)
-    if seq != list(range(r, -1, -1)):
-        raise AssertionError(f"gamma({r}) failed its cosquare self-check: {seq}")
-    return G
+    return Matrix(field, [[(-1) ** (i + 1) if i + j in (r + 1, r + 2) else 0
+                           for j in range(1, r + 1)] for i in range(1, r + 1)])
 
 
 def frobenius(spec: PolySpec) -> Matrix:
@@ -118,19 +122,15 @@ def symplectic_unit(m: int, field: Field = QQ) -> Matrix:
     """The 2m x 2m matrix [[0, I_m], [-I_m, 0]]."""
     if m < 1:
         raise ValueError("symplectic unit needs m >= 1")
-    n = 2 * m
-    rows = [[0] * n for _ in range(n)]
-    for i in range(m):
-        rows[i][m + i] = 1
-        rows[m + i][i] = -1
-    return Matrix(field, rows)
+    I = Matrix.identity(field, m)
+    return skew_sum(-I, I)
 
 
 def kronecker_pair_blocks(t: int, field: Field = QQ) -> tuple[Matrix, Matrix]:
     """The (t-1) x t blocks with ones on the diagonal and on the
-    superdiagonal respectively; t = 1 yields a pair of 0 x 1 matrices."""
+    superdiagonal respectively: the first and the last t - 1 rows of I_t,
+    so t = 1 yields a pair of 0 x 1 matrices."""
     if t < 1:
         raise ValueError("kronecker pair needs t >= 1")
-    F_rows = [[int(j == i) for j in range(t)] for i in range(t - 1)]
-    G_rows = [[int(j == i + 1) for j in range(t)] for i in range(t - 1)]
-    return Matrix(field, F_rows, ncols=t), Matrix(field, G_rows, ncols=t)
+    I = Matrix.identity(field, t)
+    return I.submatrix(range(t - 1), range(t)), I.submatrix(range(1, t), range(t))

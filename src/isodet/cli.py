@@ -33,7 +33,7 @@ from .decide import (
 )
 from .exactmat import QQ, Field, FieldError, Matrix, Poly
 from .oracle import DEFAULT_LIMIT, BudgetExceededError, enumerate_isometries
-from .regularize import regularize, verify_congruence
+from .regularize import regularize
 
 VERDICTS = {True: "all-det-one", False: "det-not-one-exists"}
 
@@ -158,7 +158,7 @@ def _report_json(M: Matrix, rep: DecisionReport, want_cert: bool, emit_reg: bool
         "method": rep.method.value,
         "field": repr(f),
         "size": M.nrows,
-        "singular_sizes": list(rep.singular_sizes),
+        "singular_sizes": None if rep.singular_sizes is None else list(rep.singular_sizes),
         "rank_sequence": list(rep.rank_sequence),
         "odd_block_counts": list(rep.odd_block_counts),
         "gamma_used": None if rep.gamma_used is None else f.to_str(rep.gamma_used),
@@ -176,7 +176,9 @@ def _report_json(M: Matrix, rep: DecisionReport, want_cert: bool, emit_reg: bool
             "transform": matrix_rows_str(reg.transform),
             "regular_part": matrix_rows_str(reg.regular_part),
             "singular_sizes": list(reg.singular_sizes),
-            "verified": verify_congruence(reg.transform, M, reg.canonical()),
+            # regularize raises RegularizationError unless S is nonsingular
+            # and S^T M S is the canonical form, so a result is verified
+            "verified": True,
         }
     return out
 
@@ -190,7 +192,8 @@ def _cmd_decide(args) -> int:
     else:
         print(f"verdict: {payload['verdict']}")
         print(f"method: {payload['method']}")
-        print(f"singular sizes: {payload['singular_sizes']}")
+        sizes = payload["singular_sizes"]
+        print(f"singular sizes: {'not computed on this route' if sizes is None else sizes}")
         if payload["rank_sequence"]:
             print(f"rank sequence: {payload['rank_sequence']}")
         print(f"odd block counts: {payload['odd_block_counts']}")

@@ -51,7 +51,8 @@ class DecisionReport:
     `all_det_one` is True exactly when every isometry of the form has
     determinant one.  `odd_block_counts[k]` counts Jordan blocks of size
     2k+1 and eigenvalue 1 in the cosquare of the regular part; a nonzero
-    entry or an odd singular size refutes membership.
+    entry or an odd singular size refutes membership.  The gamma route does
+    not compute the singular sizes and reports None for them.
 
     The gamma route shifts by `gamma_used` when it is a field element, and
     otherwise by x mod g in F_p[x]/(g), with `gamma_modulus` the ascending
@@ -62,7 +63,7 @@ class DecisionReport:
 
     all_det_one: bool
     method: Method
-    singular_sizes: tuple[int, ...]
+    singular_sizes: tuple[int, ...] | None
     rank_sequence: tuple[int, ...]
     odd_block_counts: tuple[int, ...]
     gamma_used: object | None = None
@@ -106,7 +107,7 @@ def _count_step(A: Matrix, C: Matrix, k: int, stage: str):
         r = [n] * (n + 2)
     else:
         P = inverse_times(A, C, stage)
-        r = [x // k for x in power_rank_sequence(P, 0, n + 1)]
+        r = [x // k for x in power_rank_sequence(P)[: n + 2]]
     # r holds r_0 .. r_{n+1}, enough for every count
     return tuple(r), tuple(r[2 * j] - 2 * r[2 * j + 1] + r[2 * j + 2] for j in range((n + 1) // 2))
 
@@ -244,7 +245,7 @@ def decide_gamma_shift(M: Matrix) -> DecisionReport:
     f = M.field
     n = M.nrows
     if n == 0:
-        return DecisionReport(True, Method.GAMMA_SHIFT, (), (), ())
+        return DecisionReport(True, Method.GAMMA_SHIFT, None, (), ())
     MT = M.transpose()
     lifted = None  # M^T ⊗ I_k, built once per degree: points come in increasing degree
     roots = 0  # weights of the zeros found; D = 0 once they exceed n
@@ -257,7 +258,7 @@ def decide_gamma_shift(M: Matrix) -> DecisionReport:
         if rank(shifted) < n * k:
             roots += weight
             if roots > n:
-                return DecisionReport(False, Method.GAMMA_SHIFT, (), (), ())
+                return DecisionReport(False, Method.GAMMA_SHIFT, None, (), ())
         elif usable:
             break
     rhs = kron(M - MT, Matrix.identity(f, k))
@@ -265,7 +266,7 @@ def decide_gamma_shift(M: Matrix) -> DecisionReport:
     return DecisionReport(
         all_det_one=all(c == 0 for c in counts),
         method=Method.GAMMA_SHIFT,
-        singular_sizes=(),
+        singular_sizes=None,
         rank_sequence=r,
         odd_block_counts=counts,
         gamma_used=C[0, 0] if k == 1 else None,

@@ -939,27 +939,20 @@ def det_poly(A: Matrix, B: Matrix) -> Poly:
     return Poly(f, solve(V, D).col(0))
 
 
-def power_rank_sequence(A: Matrix, mu, kmax: int) -> list[int]:
-    """[r_0, ..., r_kmax] with r_k = rank((A - mu·I)^k); r_0 = size.
+def power_rank_sequence(P: Matrix) -> list[int]:
+    """[r_0, ..., r_{m+1}] with r_k = rank(P^k) for an m x m P; r_0 = m.
 
-    Stops iterating once the rank stabilizes and pads with the stable value.
+    Stops multiplying once the rank stabilizes and pads with the stable value.
     """
-    if not A.is_square:
+    if not P.is_square:
         raise ValueError("power_rank_sequence needs a square matrix")
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    f = A.field
-    n = A.nrows
-    mu = f.convert(mu)
-    P = A if f.is_zero(mu) else A - Matrix.identity(f, n).scale(mu)
-    seq = [n]
-    cur: Matrix | None = None
-    for _ in range(kmax):
-        cur = P if cur is None else cur * P
+    m = P.nrows
+    seq = [m]
+    cur = P
+    while True:
         r = rank(cur)
         seq.append(r)
         if r == seq[-2] or r == 0:
-            break
-    while len(seq) < kmax + 1:
-        seq.append(seq[-1])
-    return seq[: kmax + 1]
+            # every earlier step lowered the rank: at most m + 2 entries
+            return seq + [r] * (m + 2 - len(seq))
+        cur = cur * P

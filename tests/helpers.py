@@ -247,20 +247,20 @@ def ref_gamma_shift(M: Matrix):
     f = M.field
     n = M.nrows
     if n == 0:
-        return DecisionReport(True, Method.GAMMA_SHIFT, (), (), ())
+        return DecisionReport(True, Method.GAMMA_SHIFT, None, (), ())
     MT = M.transpose()
     pencil = ref_det_poly(MT, M)
     if pencil.is_zero():
-        return DecisionReport(False, Method.GAMMA_SHIFT, (), (), ())
+        return DecisionReport(False, Method.GAMMA_SHIFT, None, (), ())
     candidates = range(n + 2) if f.is_rational else range(f.p - 1)
     gamma = next((f.convert(g) for g in candidates if pencil.eval(g) != 0), None)
     if gamma is None:
         return None
     N = inverse(MT + M.scale(gamma)) * M
     mu = f.inv(f.add(f.one(), gamma))
-    r = power_rank_sequence(N, mu, n + 1)
+    r = power_rank_sequence(N - Matrix.identity(f, n).scale(mu))
     counts = tuple(r[2 * k] - 2 * r[2 * k + 1] + r[2 * k + 2] for k in range((n + 1) // 2))
-    return DecisionReport(all(c == 0 for c in counts), Method.GAMMA_SHIFT, (), tuple(r), counts,
+    return DecisionReport(all(c == 0 for c in counts), Method.GAMMA_SHIFT, None, tuple(r), counts,
                           gamma_used=gamma)
 
 
@@ -273,5 +273,5 @@ def ref_odd_unipotent_counts(B: Matrix):
     b = B.nrows
     if b == 0:
         return (0,), ()
-    r = power_rank_sequence(inverse(B.transpose()) * B, 1, b + 1)
+    r = power_rank_sequence(inverse(B.transpose()) * B - Matrix.identity(B.field, b))
     return tuple(r), tuple(r[2 * k] - 2 * r[2 * k + 1] + r[2 * k + 2] for k in range((b + 1) // 2))

@@ -68,18 +68,29 @@ class TestGamma:
         G = gamma(2)
         assert inverse(G.transpose()) * G == mat([[-1, -2], [0, -1]])
 
+    @staticmethod
+    def check_cosquare(r, field):
+        """The cosquare of gamma(r) is mu (I + 2N + ... + 2N^(r-1)) for
+        mu = (-1)^(r+1): an integer upper triangular matrix with mu on the
+        diagonal and 2 mu above it, so minus mu I it is one nilpotent
+        Jordan block."""
+        G = gamma(r, field)
+        mu = (-1) ** (r + 1)
+        cosq = inverse(G.transpose()) * G
+        assert cosq == Matrix(field, [[mu if j == i else 2 * mu if j > i else 0
+                                       for j in range(r)] for i in range(r)])
+        shifted = cosq - Matrix.identity(field, r).scale(mu)
+        assert power_rank_sequence(shifted) == [*range(r, -1, -1), 0]
+
     def test_unimodular_and_cosquare_chain(self):
-        # the constructor itself enforces the cosquare rank sequence
-        for r in range(1, 9):
-            G = gamma(r)
-            assert det(G) in (QQ.one(), QQ.neg(QQ.one()))
-            eig = 1 if r % 2 == 1 else -1
-            cosq = inverse(G.transpose()) * G
-            assert power_rank_sequence(cosq, eig, r) == list(range(r, -1, -1))
+        for r in range(1, 25):
+            assert det(gamma(r)) in (QQ.one(), QQ.neg(QQ.one()))
+            self.check_cosquare(r, QQ)
 
     def test_over_odd_prime_fields(self):
-        for p in (3, 5, 7):
-            gamma(4, GF(p))
+        for p in (3, 5, 7, 10007):
+            for r in range(1, 25):
+                self.check_cosquare(r, GF(p))
 
 
 class TestFrobenius:

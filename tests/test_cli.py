@@ -235,25 +235,35 @@ class TestDecideCommand:
         assert doc["regularization"]["verified"] is True
 
 
-    def test_verified_checks_the_reported_form(self, capsys, monkeypatch):
-        # "verified" compares S^T M S with the reported regular part plus
-        # singular blocks, so a wrong regular part must read false
-        import dataclasses
+    def test_a_failed_postcondition_is_never_reported(self, capsys, monkeypatch):
+        # "verified" is regularize's own postcondition: a congruence that
+        # misses the canonical form raises before anything is printed
+        import importlib
 
-        import isodet.cli
-        from isodet import decide
+        module = importlib.import_module("isodet.regularize")  # the name isodet.regularize is the function
+        monkeypatch.setattr(module, "_decompose",
+                            lambda G: (Matrix.identity(G.field, G.nrows), []))
+        with pytest.raises(module.RegularizationError, match="postcondition"):
+            run(capsys, ["decide", "-", "--emit-regularization", "--json"],
+                stdin='{"field": "Q", "rows": [["1", "0"], ["0", "0"]]}', monkeypatch=monkeypatch)
+        assert capsys.readouterr().out == ""
 
-        def wrong_regular_part(M):
-            rep = decide(M)
-            bad = dataclasses.replace(rep.regularization,
-                                      regular_part=rep.regularization.regular_part.scale(2))
-            return dataclasses.replace(rep, regularization=bad)
-
-        monkeypatch.setattr(isodet.cli, "decide", wrong_regular_part)
-        code, out, _ = run(capsys, ["decide", "-", "--emit-regularization", "--json"],
-                           stdin='{"field": "Q", "rows": [["1", "0"], ["0", "0"]]}',
-                           monkeypatch=monkeypatch)
-        assert json.loads(out)["regularization"]["verified"] is False
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_gamma_route_leaves_singular_sizes_out(self, capsys, monkeypatch, flags):
+        # J_3(0): decide finds one singular block of size 3, the gamma
+        # route does not compute the sizes
+        doc = '{"field": "Q", "rows": [["0","0","0"],["1","0","0"],["0","1","0"]]}'
+        outs = {}
+        for method in ("regularize", "gamma-shift"):
+            code, outs[method], _ = run(capsys, ["decide", "-", "--method", method, *flags],
+                                        stdin=doc, monkeypatch=monkeypatch)
+            assert code == 1
+        if flags:
+            assert json.loads(outs["regularize"])["singular_sizes"] == [3]
+            assert json.loads(outs["gamma-shift"])["singular_sizes"] is None
+        else:
+            assert "singular sizes: [3]\n" in outs["regularize"]
+            assert "singular sizes: not computed on this route\n" in outs["gamma-shift"]
 
     def test_auto_method_rejected(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["decide", "-", "--method", "auto"], stdin=Z2_DOC,
@@ -293,6 +303,15 @@ class TestBlocksCommand:
     def test_bad_params(self, capsys):
         code, _, err = run(capsys, ["blocks", "gamma", "zero"])
         assert code == 2
+
+    def test_large_gamma_is_prompt(self):
+        # the block is written down from its formula, with no elimination
+        start = time.perf_counter()
+        proc = run_cli("blocks", "gamma", "200", "--text")
+        assert time.perf_counter() - start < 10.0
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "200 Q" and lines[1].split() == ["0"] * 199 + ["1"]
 
     @pytest.mark.parametrize("argv", [["jordan", "2", "1/0"], ["frobenius", "--", "1/0,1"]],
                              ids=["jordan", "frobenius"])

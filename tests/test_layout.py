@@ -45,6 +45,28 @@ def test_only_exactmat_imports_kernel_internals():
     assert private_kernel_imports(SRC) == []
 
 
+def elimination_routines(exactmat: Path) -> set[str]:
+    """The module-level functions of exactmat that reach the elimination
+    kernel `_eliminate`, directly or through one another."""
+    tree = ast.parse(exactmat.read_text())
+    names = {node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = {"_eliminate"}
+    while more := {fn for fn, used in names.items() if used & found} - found:
+        found |= more
+    return found
+
+
+def test_blocks_imports_no_elimination():
+    # the canonical blocks are built from their formulas, never checked
+    routines = elimination_routines(SRC / "exactmat.py")
+    assert {"rank", "inverse_times", "power_rank_sequence", "det"} <= routines
+    imported = {alias.name for node in ast.walk(ast.parse((SRC / "blocks.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module in ("exactmat", "isodet.exactmat")
+                for alias in node.names}
+    assert imported and imported.isdisjoint(routines)
+
+
 def traced_tables() -> dict:
     """The literal name tables of perfbench/tracing.py, read from its source
     without importing it."""

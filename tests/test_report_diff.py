@@ -60,3 +60,17 @@ def test_dump_refuses_an_isodet_from_outside_the_tree(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     with pytest.raises(SystemExit, match=f"isodet .*not from {re.escape(str(tmp_path))}"):
         report_diff.dump(tmp_path, [1])
+
+
+def test_tally_counts_differences_per_route_and_field():
+    old = {("a", "decide"): {"x": 1, "y": 2}, ("a", "gamma"): {"x": [], "y": 2},
+           ("b", "gamma"): {"x": [], "y": 3}, ("c", "decide"): {"x": 1}}
+    new = {("a", "decide"): {"x": 1, "y": 2}, ("a", "gamma"): {"x": None, "y": 2},
+           ("b", "gamma"): {"x": None, "y": 4}, ("d", "decide"): {"x": 1}}
+    diffs = report_diff.differences(old, new)
+    assert diffs == [("c", "decide", "only in old"), ("d", "decide", "only in new"),
+                     ("a", "gamma", "x differs"), ("b", "gamma", "x differs"),
+                     ("b", "gamma", "y differs")]
+    assert report_diff.tally(diffs) == ["     2  gamma: x differs", "     1  decide: only in old",
+                                        "     1  decide: only in new", "     1  gamma: y differs"]
+    assert report_diff.tally([]) == []
