@@ -27,6 +27,7 @@ from .exactmat import (
     Poly,
     SingularMatrixError,
     det,
+    full_rank,
     inverse_times,
     kron,
     power_rank_sequence,
@@ -97,12 +98,13 @@ def _count_step(A: Matrix, C: Matrix, k: int, stage: str):
     counts c_0 .. c_{(n-1)//2} for n = size/k; A must be nonsingular.
 
     rank P = rank C, so a nonsingular C gives the constant sequence and no
-    counts, after a rank check of A.  Otherwise P is read off one reduced
-    elimination of [A | C], which also shows whether A is nonsingular."""
+    counts, after a full-rank check of A.  Otherwise P is read off one
+    reduced elimination of [A | C], which also shows whether A is
+    nonsingular."""
     m = A.nrows
     n = m // k
-    if rank(C) == m:
-        if rank(A) != m:
+    if full_rank(C):
+        if not full_rank(A):
             raise SingularMatrixError(f"{stage}: singular {m}x{m} matrix")
         r = [n] * (n + 2)
     else:
@@ -138,11 +140,19 @@ def certificate_singular(M: Matrix, reg: RegularizationResult) -> Matrix:
 
 
 def verify_certificate(M: Matrix, S: Matrix) -> bool:
-    """True iff S is an isometry of M with determinant -1 (so nonsingular)."""
+    """True iff S is an isometry of M with determinant -1 (so nonsingular).
+
+    Over Q an involution S (S·S = I, as every certificate of
+    `certificate_singular` is) has eigenvalues ±1, with -1 of multiplicity
+    (n - tr S)/2, so det S = -1 iff that is odd; other S take `det`.  Over
+    F_p the trace is known only mod p, so `det` decides there."""
     if not (M.is_square and S.is_square) or M.nrows != S.nrows or M.field != S.field:
         return False
     if S.transpose() * M * S != M:
         return False
+    n = S.nrows
+    if M.field.is_rational and S * S == Matrix.identity(M.field, n):
+        return (n - sum(S[i, i] for i in range(n))) % 4 == 2
     return det(S) == M.field.convert(-1)
 
 
@@ -255,7 +265,9 @@ def decide_gamma_shift(M: Matrix) -> DecisionReport:
             lifted = kron(MT, Matrix.identity(f, k))
         C = frobenius(PolySpec(g, 1))
         shifted = lifted + kron(M, C)  # M^T + alpha*M
-        if rank(shifted) < n * k:
+        # after a zero D may vanish identically, and then an image mod p
+        # would come out deficient at every later point: those take rank
+        if (rank(shifted) < n * k) if roots else not full_rank(shifted):
             roots += weight
             if roots > n:
                 return DecisionReport(False, Method.GAMMA_SHIFT, None, (), ())

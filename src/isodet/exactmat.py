@@ -30,6 +30,19 @@ forward pass also keeps a log of its row updates over Q; only `det` reads
 it.  `det_poly`, the pencil determinant det(A + t·B), has no elimination
 of its own: it calls `det` at n + 1 points and `solve` once.
 
+Over Q, `full_rank` and `nullspace` (of a matrix with at least as many
+rows as columns) first run the forward pass on the image
+of the stored integer rows mod one prime, `_IMAGE_P`, once min(m, n)
+reaches `_IMAGE_MIN`.  Row i of A is its stored row over d_i != 0, so A
+has the rank of its integer rows, and a minor of those that is nonzero mod
+p is a nonzero integer: a full-rank image proves that A has full rank (the
+modular method; von zur Gathen & Gerhard, Modern Computer Algebra, CUP,
+ch. 5).  A deficient image, which an A of full rank gives when p divides
+all its maximal minors, proves nothing: `full_rank` and `nullspace` then
+run the exact elimination.  `rank`, `pivots` and
+the others never read the image: their callers mostly meet deficient
+matrices, where it would only add its cost.
+
 Over F_p the kernel and the product pack rows into ints of w-bit slots,
 one slot per entry, the first entry in the top slot.  A row takes at most k
 updates (or a product row k terms), each adding at most (p - 1)^2 to a
@@ -686,6 +699,36 @@ def rank(A: Matrix) -> int:
     return len(pivots(A))
 
 
+# The image over Q: the prime, the largest below 2^16, and the least
+# min(m, n) at which it is taken.  On a 2-vCPU x86 host with Python 3.11 and
+# square integer matrices with 11-bit entries, the image took 0.7-1.0x the
+# time of the exact forward pass at 6x6 to 8x8, 0.5-0.6x at 9x9 and 10x10,
+# 0.4x at 12x12 and 0.14x at 24x24 (0.4 against 3.0 ms).  Mod 2^31 - 1, with
+# wider slots, it took 1.3-1.6x as long as mod 65521.  An image that comes
+# out deficient adds its whole cost to the exact pass that follows, so it is
+# taken only where it costs about half that pass or less.
+_IMAGE_P = 65521
+_IMAGE_MIN = 10
+
+
+def _image_rank(A: Matrix) -> int | None:
+    """The rank of A's stored integer rows mod _IMAGE_P; None over F_p and
+    for an A smaller than _IMAGE_MIN, where no image is taken."""
+    if A._dens is None or min(A.nrows, A.ncols) < _IMAGE_MIN:
+        return None
+    rows = [[x % _IMAGE_P for x in r] for r in A._rows]
+    return len(_eliminate(rows, A.ncols, _IMAGE_P)[0])
+
+
+def full_rank(A: Matrix) -> bool:
+    """Whether rank(A) == min(A.nrows, A.ncols).  Over Q from _IMAGE_MIN
+    on, a full-rank image mod _IMAGE_P proves it (see the module docstring)
+    and only a deficient one leaves it to the exact elimination, which
+    decides everywhere else."""
+    k = min(A.nrows, A.ncols)
+    return _image_rank(A) == k or rank(A) == k
+
+
 def rref(A: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     f = A.field
@@ -701,9 +744,12 @@ def nullspace(A: Matrix) -> Matrix:
     """Right null space basis, returned as the columns of an n x k matrix:
     the basis vector of free column j has a 1 at j, zeros on the other free
     columns and minus column j of the reduced echelon form on the pivots.
-    A full column rank input takes the forward pass only."""
+    A full column rank input takes the forward pass only, over Q on the
+    image mod _IMAGE_P when that has full column rank."""
     f = A.field
     n = A.ncols
+    if A.nrows >= n and _image_rank(A) == n:
+        return Matrix._of(f, [()] * n, 0)
     rows = list(map(list, A._rows))
     piv = _eliminate(rows, n, f.p)[0]
     if len(piv) == n:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactmat import Field, Matrix, rank
+from .exactmat import Field, Matrix, full_rank
 
 #: testing more (partial matrix, vector) pairs than this raises
 #: BudgetExceededError.
@@ -146,7 +146,7 @@ def random_transform(field: Field, n: int, seed: int) -> Matrix:
         else:
             rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
         T = Matrix(field, rows)
-        if rank(T) == n:
+        if full_rank(T):
             return T
 
 

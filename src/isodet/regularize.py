@@ -5,8 +5,11 @@ Jordan blocks under an explicit congruence.
 
     S^T M S = B (+) J_{n_1}(0) (+) ... (+) J_{n_p}(0),   B nonsingular,
 
-verified exactly before returning; the right-hand side, the canonical form
-of M, is `RegularizationResult.canonical()`.  The construction works over Q
+verified before returning: S^T M S equals the right-hand side, the
+canonical form of M given by `RegularizationResult.canonical()`, entry for
+entry, and `full_rank` proves S and B nonsingular (over Q by one image mod
+a prime when that has full rank).  With no singular chain S = I and B = M,
+and the check is that M is nonsingular.  The construction works over Q
 and over any F_p with p odd, uses no field extensions and no randomness.
 
 Algorithm sketch.  Vectors of the two-sided kernel of M span exactly the
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
 from .blocks import jordan
-from .exactmat import Matrix, direct_sum, hstack, nullspace, pivots, rank, solve, vstack
+from .exactmat import Matrix, direct_sum, full_rank, hstack, nullspace, pivots, solve, vstack
 
 
 class RegularizationError(AssertionError):
@@ -67,7 +70,7 @@ def verify_congruence(S: Matrix, M: Matrix, N: Matrix) -> bool:
         return False
     if S.nrows != M.nrows or M.nrows != N.nrows or S.field != M.field:
         return False
-    if rank(S) != S.nrows:
+    if not full_rank(S):
         return False
     return S.transpose() * M * S == N
 
@@ -79,13 +82,18 @@ def regularize(M: Matrix) -> RegularizationResult:
     W, spans = _decompose(M)
     if W.ncols != n:
         raise RegularizationError("basis size mismatch")
+    if not spans:
+        # S = I and B = M regularize M exactly when M is nonsingular
+        if not full_rank(M):
+            raise RegularizationError("regularization postcondition failed")
+        return RegularizationResult(Matrix.identity(M.field, n), M, ())
     spans.sort(key=len)
     b = n - sum(map(len, spans))
     S = _cols(W, [*range(b), *(c for span in spans for c in span)])
     N = S.transpose() * M * S
     B = N.submatrix(range(b), range(b))
     res = RegularizationResult(S, B, tuple(map(len, spans)))
-    if rank(S) != n or rank(B) != b or N != res.canonical():
+    if not (full_rank(S) and full_rank(B)) or N != res.canonical():
         raise RegularizationError("regularization postcondition failed")
     return res
 

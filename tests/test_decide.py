@@ -176,13 +176,13 @@ class TestGammaShift:
         # a point test that passed a singular pencil value would hand it to
         # the count step, whose A^{-1}C read names the route
         d = importlib.import_module("isodet.decide")
-        real_rank, calls = d.rank, []
+        real_full_rank, calls = d.full_rank, []
 
         def first_full(A):
             calls.append(A)
-            return A.nrows if len(calls) == 1 else real_rank(A)
+            return len(calls) == 1 or real_full_rank(A)
 
-        monkeypatch.setattr(d, "rank", first_full)
+        monkeypatch.setattr(d, "full_rank", first_full)
         with pytest.raises(SingularMatrixError, match="^decide_gamma_shift: singular 1x1 matrix$"):
             decide_gamma_shift(mat([[0]]))
 
@@ -333,6 +333,19 @@ class TestCertificates:
         Z2 = symplectic_unit(1)
         assert not verify_certificate(Z2, mat([[1, 0], [0, -1]]))
         assert verify_certificate(Matrix.identity(QQ, 2), mat([[1, 0], [0, -1]]))
+
+    def test_verify_involutions_and_others_over_q(self):
+        # over Q an involution's determinant is read off its trace, any
+        # other isometry's from det
+        I3 = Matrix.identity(QQ, 3)
+        quarter_turn = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+        S = mat(quarter_turn) * mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+        assert S * S != I3 and verify_certificate(I3, S)
+        assert not verify_certificate(I3, mat(quarter_turn))
+        # an involutory isometry with determinant 1: -1 on a plane
+        assert not verify_certificate(I3, mat([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]))
+        # an involution with determinant -1 that is no isometry
+        assert not verify_certificate(mat([[0, 1], [0, 0]]), mat([[-1, 0], [0, 1]]))
 
     @pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=repr)
     @pytest.mark.parametrize("spec", ["J2+J3+G2", "J4+J2+J5+G1", "J2+J3+J1+G2", "J3+J3+J1+Z1"])

@@ -15,11 +15,17 @@ from isodet import (
     Matrix,
     Poly,
     SingularMatrixError,
+    decide,
+    decide_gamma_shift,
     det,
     det_poly,
+    exactmat,
     inverse,
+    odd_unipotent_counts,
     power_rank_sequence,
+    random_congruence,
     rank,
+    regularize,
 )
 from isodet.blocks import PolySpec, direct_sum, frobenius, gamma, jordan
 from isodet.cli import parse_field
@@ -27,6 +33,7 @@ from isodet.exactmat import (
     _PACK_MIN,
     MAX_MODULUS,
     _pack_rows,
+    full_rank,
     hstack,
     inverse_times,
     kron,
@@ -827,3 +834,85 @@ class TestEntrywiseAgainstReference:
         assert hstack(half, Matrix(QQ, [["1/3"]])) == Matrix(QQ, [["3/6", "1/2", "2/6"]])
         assert Matrix(QQ, [[2, "1/2"]]).transpose() == Matrix(QQ, [[2], ["1/2"]])
         assert Matrix(QQ, [[1, 2], [3, 4]]) != Matrix(QQ, [[1, 2], [3, 5]])
+
+
+# --- full rank over Q from the image mod _IMAGE_P --------------------------
+
+P = exactmat._IMAGE_P
+
+
+def image_deficient_full_rank():
+    """Q matrices of full rank, at least _IMAGE_MIN on each side, whose
+    image mod P is rank-deficient: P divides every maximal minor."""
+    D = Matrix(QQ, [[P if i == j == 0 else int(i == j) for j in range(10)] for i in range(10)])
+    # B - B^T is unimodular, so only B's own image is singular
+    B = direct_sum([Matrix(QQ, [[1, 1], [0, P]])] * 5)
+    return {"diag": D, "diag-mixed": random_congruence(D, 3), "skew-unimodular": B,
+            "skew-unimodular-mixed": random_congruence(B, 4),
+            "wide": hstack(D, Matrix(QQ, [[P]] * 10)), "tall": vstack(D, D.scale(P))}
+
+
+def big_deficient():
+    """Rank-deficient Q matrices with entries of 2^200 and more."""
+    big = 2 ** 200 + 1
+    J3G8 = random_congruence(direct_sum([jordan(3, 0), gamma(8)]), 5).scale(big)
+    rng = random.Random(6)
+    L = Matrix(QQ, [[rng.randint(-3, 3) * big for _ in range(5)] for _ in range(12)])
+    R = Matrix(QQ, [[Fraction(rng.randint(-3, 3) * big, rng.randint(1, 5)) for _ in range(12)]
+                    for _ in range(5)])
+    return {"J3+G8": J3G8, "rank-5": L * R, "rank-5-wide": (L * R).submatrix(range(10), range(12))}
+
+
+FULL_RANK_CASES = image_deficient_full_rank()
+IMAGE_CASES = {**FULL_RANK_CASES, **big_deficient()}
+
+
+class TestImageModP:
+    @staticmethod
+    def outcomes(A):
+        out = [full_rank(A), nullspace(A)]
+        if A.is_square:
+            reg = regularize(A)
+            out += [reg, odd_unipotent_counts(reg.regular_part), decide(A),
+                    decide_gamma_shift(A)]
+        return out
+
+    @pytest.mark.parametrize("name", IMAGE_CASES)
+    def test_matches_the_exact_path(self, name, monkeypatch):
+        A = IMAGE_CASES[name]
+        k = min(A.nrows, A.ncols)
+        assert exactmat._image_rank(A) < k
+        assert (rank(A) == k) == (name in FULL_RANK_CASES)
+        got = self.outcomes(A)
+        # an image that never has full rank leaves every answer to the exact path
+        monkeypatch.setattr(exactmat, "_image_rank", lambda A: -1)
+        assert got == self.outcomes(A)
+
+    def test_image_decides_full_rank(self, monkeypatch):
+        # a full-rank image is the whole proof: no exact elimination runs
+        A = random_congruence(gamma(12), 1)
+        real = exactmat._eliminate
+        monkeypatch.setattr(exactmat, "_eliminate", lambda rows, ncols, p: real(rows, ncols, p)
+                            if p == P else pytest.fail("exact elimination"))
+        assert full_rank(A) and nullspace(A).ncols == 0
+
+    def test_no_image_below_the_cutoff_or_over_fp(self):
+        # diag(P, 1, ...): full rank over Q below _IMAGE_MIN, deficient over F_P
+        D = IMAGE_CASES["diag"]
+        for A, expected in ((D.submatrix(range(9), range(9)), True),
+                            (Matrix(GF(P), D.to_lists()), False)):
+            assert exactmat._image_rank(A) is None
+            assert full_rank(A) == expected == (rank(A) == min(A.nrows, A.ncols))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_full_rank_is_exact(self, data):
+        m, n = data.draw(st.integers(9, 12)), data.draw(st.integers(9, 12))
+        if data.draw(st.booleans()):  # deficient over Q: a product through a thin middle
+            k = data.draw(st.integers(0, min(m, n) - 1))
+            A = data.draw(matrices(QQ, m, k)) * data.draw(matrices(QQ, k, n))
+        else:  # a row times P vanishes in the image but not over Q
+            scale = data.draw(st.lists(st.sampled_from([1, 1, 1, P]), min_size=m, max_size=m))
+            A = Matrix(QQ, [[x * s for x in r] for r, s in zip(data.draw(matrices(QQ, m, n)).rows,
+                                                                scale)], ncols=n)
+        assert full_rank(A) == (rank(A) == min(m, n))
