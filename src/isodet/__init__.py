@@ -3,12 +3,10 @@ determinant one, over Q or F_p (p odd), with a brute-force finite-field
 oracle for ground truth."""
 
 from .blocks import (
-    PolySpec,
     ZeroConstantTermError,
     direct_sum,
     frobenius,
     gamma,
-    is_cosquare_block,
     jordan,
     kronecker_pair_blocks,
     reciprocal,
@@ -46,7 +44,6 @@ from .oracle import (
     BudgetExceededError,
     IsometrySummary,
     enumerate_isometries,
-    oracle_verdict,
     random_congruence,
     random_transform,
 )
@@ -55,14 +52,12 @@ from .regularize import RegularizationResult, regularize, verify_congruence
 __all__ = [
     "GF", "QQ", "Field", "FieldError", "Matrix", "Poly", "SingularMatrixError",
     "det", "det_poly", "inverse", "nullspace", "power_rank_sequence", "rank", "solve",
-    "PolySpec", "ZeroConstantTermError", "direct_sum", "frobenius", "gamma",
-    "is_cosquare_block", "jordan", "kronecker_pair_blocks", "reciprocal",
-    "skew_sum", "symplectic_unit",
+    "ZeroConstantTermError", "direct_sum", "frobenius", "gamma", "jordan",
+    "kronecker_pair_blocks", "reciprocal", "skew_sum", "symplectic_unit",
     "RegularizationResult", "regularize", "verify_congruence",
     "DecisionReport", "Method", "NoOddBlockError",
     "certificate_singular", "decide", "decide_gamma_shift", "odd_unipotent_counts",
     "skew_fast_path", "verify_certificate",
     "BudgetExceededError", "IsometrySummary",
-    "enumerate_isometries", "oracle_verdict", "random_congruence",
-    "random_transform",
+    "enumerate_isometries", "random_congruence", "random_transform",
 ]

@@ -7,8 +7,6 @@ formula; none runs an elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactmat import (
     QQ,
     Field,
@@ -22,24 +20,6 @@ from .exactmat import (
 
 class ZeroConstantTermError(ValueError):
     """Reciprocal polynomial requested for a polynomial with p(0) = 0."""
-
-
-@dataclass(frozen=True)
-class PolySpec:
-    """A monic polynomial together with the exponent of its companion block."""
-
-    poly: Poly
-    power: int
-
-    def __post_init__(self):
-        if self.poly.degree < 1 or not self.poly.is_monic():
-            raise ValueError("PolySpec needs a monic polynomial of degree >= 1")
-        if self.power < 1:
-            raise ValueError("PolySpec power must be >= 1")
-
-    @property
-    def block_size(self) -> int:
-        return self.poly.degree * self.power
 
 
 def jordan(r: int, lam, field: Field = QQ) -> Matrix:
@@ -74,14 +54,18 @@ def gamma(r: int, field: Field = QQ) -> Matrix:
                            for j in range(1, r + 1)] for i in range(1, r + 1)])
 
 
-def frobenius(spec: PolySpec) -> Matrix:
-    """Companion matrix of p(x)^l: subdiagonal ones, last column the negated
-    coefficients of p^l (constant term at the top)."""
-    field = spec.poly.field
-    q = spec.poly ** spec.power
-    m = spec.block_size
-    return Matrix(field, [[int(j == i - 1) for j in range(m - 1)] + [-q.coeffs[i]]
-                          for i in range(m)])
+def frobenius(poly: Poly, power: int = 1) -> Matrix:
+    """Companion matrix of poly^power for a monic poly of degree >= 1:
+    subdiagonal ones, last column the negated coefficients of poly^power
+    (constant term at the top)."""
+    if poly.degree < 1 or not poly.is_monic():
+        raise ValueError("frobenius needs a monic polynomial of degree >= 1")
+    if power < 1:
+        raise ValueError("frobenius power must be >= 1")
+    q = poly ** power
+    m = q.degree
+    return Matrix(poly.field, [[int(j == i - 1) for j in range(m - 1)] + [-q.coeffs[i]]
+                               for i in range(m)])
 
 
 def reciprocal(p: Poly) -> Poly:
@@ -93,20 +77,6 @@ def reciprocal(p: Poly) -> Poly:
         raise ZeroConstantTermError("p(0) = 0 has no reciprocal of equal degree")
     rev = list(reversed(p.coeffs))
     return Poly(f, rev).scale(f.inv(p.constant()))
-
-
-def is_cosquare_block(spec: PolySpec) -> bool:
-    """Whether the companion block of p^l is a cosquare: p != x,
-    p != x + (-1)^(m+1) with m the block size, and p self-reciprocal."""
-    p = spec.poly
-    f = p.field
-    m = spec.block_size
-    if f.is_zero(p.constant()):
-        # x divides p, so p is x itself or not irreducible; never a cosquare
-        return False
-    if p == Poly(f, [(-1) ** (m + 1), 1]):
-        return False
-    return reciprocal(p) == p
 
 
 def skew_sum(A: Matrix, B: Matrix) -> Matrix:

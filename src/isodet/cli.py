@@ -16,7 +16,6 @@ import re
 import sys
 
 from .blocks import (
-    PolySpec,
     direct_sum,
     frobenius,
     gamma,
@@ -239,7 +238,7 @@ def _cmd_blocks(args) -> int:
         elif kind == "frobenius":
             poly = _parse_coeffs(field, params[0])
             power = int(params[1]) if len(params) > 1 else 1
-            M = frobenius(PolySpec(poly, power))
+            M = frobenius(poly, power)
         elif kind == "symplectic":
             M = symplectic_unit(int(params[0]), field)
         elif kind == "skewsum":

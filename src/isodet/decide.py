@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count, product
 
-from .blocks import PolySpec, frobenius, reciprocal
+from .blocks import frobenius, reciprocal
 from .exactmat import (
     Field,
     Matrix,
@@ -263,7 +263,7 @@ def decide_gamma_shift(M: Matrix) -> DecisionReport:
         k = g.degree
         if lifted is None or lifted.nrows != n * k:
             lifted = kron(MT, Matrix.identity(f, k))
-        C = frobenius(PolySpec(g, 1))
+        C = frobenius(g)
         shifted = lifted + kron(M, C)  # M^T + alpha*M
         # after a zero D may vanish identically, and then an image mod p
         # would come out deficient at every later point: those take rank

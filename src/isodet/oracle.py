@@ -131,11 +131,6 @@ def enumerate_isometries(M: Matrix, limit: int = DEFAULT_LIMIT) -> IsometrySumma
     return IsometrySummary(order, det_counts, det_counts.get(1, 0) == order)
 
 
-def oracle_verdict(M: Matrix) -> bool:
-    """Membership by definition: True iff no isometry has det != 1."""
-    return enumerate_isometries(M).all_det_one
-
-
 def random_transform(field: Field, n: int, seed: int) -> Matrix:
     """Deterministic pseudo-random nonsingular n x n matrix with small
     entries (rejection sampling on the seed stream)."""

@@ -7,9 +7,9 @@ import random
 
 import numpy as np
 
-from isodet import (GF, QQ, DecisionReport, Matrix, Method, Poly, det, direct_sum, gamma,
-                    inverse, jordan, power_rank_sequence, symplectic_unit)
-from isodet.exactmat import hstack, nullspace, rank, rref
+from isodet import (GF, QQ, DecisionReport, Matrix, Method, Poly, SingularMatrixError, det,
+                    direct_sum, gamma, inverse, jordan, power_rank_sequence, symplectic_unit)
+from isodet.exactmat import hstack, inverse_times, nullspace, rank, rref
 
 # Q, a small and a large prime field
 FIELDS = [QQ, GF(3), GF(10007)]
@@ -98,6 +98,41 @@ def known_sum(spec: str, field=QQ, seed=0):
     counts = tuple(odd_r.count(2 * k + 1) for k in range((n - 1) // 2 + 1))
     verdict = not odd_r and all(s % 2 == 0 for s in sizes)
     return T.transpose() * C * T, sizes, counts, verdict
+
+
+def cosquare_root(Phi: Matrix) -> Matrix | None:
+    """A nonsingular A with A^{-T} A = Phi, checked by inverse_times, or
+    None when no such A exists over the field of Phi.
+
+    A^{-T} A = Phi says A = A^T Phi, so every root lies in the nullspace of
+    the linear map X -> X - X^T Phi on m x m matrices (m^2 unknowns, one
+    nullspace call).  The candidates are the combinations sum c_i X_i of its
+    basis with every c_i in range(s).  Over F_p, s = p: the whole nullspace
+    is enumerated.  Over Q, s = m + 1: det(sum c_i X_i) is a polynomial of
+    degree <= m in each c_i, and one that is not zero does not vanish on the
+    whole grid, so None proves that det vanishes on the nullspace.
+    """
+    f, m = Phi.field, Phi.nrows
+    # row (i, j) of X - X^T Phi: x_ij - sum_k x_ki Phi_kj, unknown (a, b) at a*m + b
+    L = [[0] * (m * m) for _ in range(m * m)]
+    for i in range(m):
+        for j in range(m):
+            row = L[i * m + j]
+            row[i * m + j] += 1
+            for k in range(m):
+                row[k * m + i] -= Phi[k, j]
+    N = nullspace(Matrix(f, L))
+    s = m + 1 if f.p is None else f.p
+    for c in itertools.product(range(s), repeat=N.ncols):
+        A = Matrix(f, [[sum(ci * N[a * m + b, i] for i, ci in enumerate(c)) for b in range(m)]
+                       for a in range(m)])
+        try:
+            cosquare = inverse_times(A.transpose(), A, "cosquare_root")
+        except SingularMatrixError:
+            continue
+        assert cosquare == Phi, (Phi.to_lists(), A.to_lists())
+        return A
+    return None
 
 
 def _column_space_basis(f, cols_matrix, n):

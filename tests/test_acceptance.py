@@ -15,15 +15,13 @@ from isodet import (
     QQ,
     Matrix,
     Poly,
-    PolySpec,
     decide,
     decide_gamma_shift,
     enumerate_isometries,
+    frobenius,
     gamma,
     inverse,
-    is_cosquare_block,
     jordan,
-    oracle_verdict,
     power_rank_sequence,
     rank,
     regularize,
@@ -31,7 +29,7 @@ from isodet import (
     verify_certificate,
     verify_congruence,
 )
-from helpers import all_matrices, random_nonsingular, random_rational
+from helpers import all_matrices, cosquare_root, random_nonsingular, random_rational
 
 
 def _ok(num, text):
@@ -42,7 +40,7 @@ def _ok(num, text):
 def exhaustive_sets():
     """decide reports and oracle verdicts for every matrix of the three
     exhaustive families."""
-    return {(n, p): [(M, decide(M), oracle_verdict(M)) for M in all_matrices(n, p)]
+    return {(n, p): [(M, decide(M), enumerate_isometries(M).all_det_one) for M in all_matrices(n, p)]
             for n, p in ((2, 3), (3, 3), (2, 5))}
 
 
@@ -180,7 +178,7 @@ def test_criterion_10_odd_cosquare_blocks_over_f5():
         for l in (1, 2):
             if (p.degree * l) % 2 == 0:
                 continue
-            if is_cosquare_block(PolySpec(p, l)):
+            if cosquare_root(frobenius(p, l)) is not None:
                 hits.append(p)
                 assert p == x_minus_one
     assert hits == [x_minus_one]

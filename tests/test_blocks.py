@@ -11,7 +11,6 @@ from isodet import (
     QQ,
     Matrix,
     Poly,
-    PolySpec,
     ZeroConstantTermError,
     det,
     det_poly,
@@ -19,7 +18,6 @@ from isodet import (
     frobenius,
     gamma,
     inverse,
-    is_cosquare_block,
     jordan,
     kronecker_pair_blocks,
     power_rank_sequence,
@@ -28,7 +26,7 @@ from isodet import (
     symplectic_unit,
 )
 
-from helpers import FIELDS, mat
+from helpers import FIELDS, cosquare_root, mat
 
 
 def assert_entries(M, rows):
@@ -96,16 +94,16 @@ class TestGamma:
 class TestFrobenius:
     def test_linear(self):
         for f in FIELDS:
-            assert_entries(frobenius(PolySpec(Poly(f, [-1, 1]), 1)), [[1]])
+            assert_entries(frobenius(Poly(f, [-1, 1])), [[1]])
 
     def test_square_of_linear(self):
         for f in FIELDS:
-            assert_entries(frobenius(PolySpec(Poly(f, [-1, 1]), 2)), [[0, -1], [1, 2]])
+            assert_entries(frobenius(Poly(f, [-1, 1]), 2), [[0, -1], [1, 2]])
 
     def test_quadratic(self):
         for f in FIELDS:
-            assert_entries(frobenius(PolySpec(Poly(f, [1, 0, 1]), 1)), [[0, -1], [1, 0]])
-        Phi = frobenius(PolySpec(Poly(QQ, ["1/2", "-2/3", 1]), 1))
+            assert_entries(frobenius(Poly(f, [1, 0, 1])), [[0, -1], [1, 0]])
+        Phi = frobenius(Poly(QQ, ["1/2", "-2/3", 1]))
         assert Phi == mat([[0, "-1/2"], [1, "2/3"]])
 
     def test_characteristic_polynomial(self):
@@ -115,11 +113,18 @@ class TestFrobenius:
             coeffs = [rng.randint(-2, 2) for _ in range(s)] + [1]
             p = Poly(QQ, coeffs)
             l = rng.randint(1, 2)
-            Phi = frobenius(PolySpec(p, l))
+            Phi = frobenius(p, l)
             m = Phi.nrows
             lhs = det_poly(Phi, Matrix.identity(QQ, m).scale(-1))
             rhs = (p ** l).scale((-1) ** m)
             assert lhs == rhs
+
+    @pytest.mark.parametrize("coeffs, power", [([1, 2], 1), ([1], 1), ([1, 1], 0), ([], 1)],
+                             ids=["not-monic", "degree-0", "power-0", "zero"])
+    def test_rejects_bad_specs(self, coeffs, power):
+        for f in FIELDS:
+            with pytest.raises(ValueError, match="frobenius"):
+                frobenius(Poly(f, coeffs), power)
 
 
 class TestReciprocal:
@@ -150,30 +155,68 @@ class TestReciprocal:
         assert reciprocal(p ** l) == reciprocal(p) ** l
 
 
-def _monic_irreducibles_f5():
-    f = GF(5)
-    polys = [Poly(f, [c, 1]) for c in range(5)]
-    for b in range(5):
-        for c in range(5):
-            p = Poly(f, [c, b, 1])
-            if all(p.eval(x) != 0 for x in range(5)):
-                polys.append(p)
-    return polys
+def _monic_polys(f, degree):
+    """Every monic polynomial of this degree over the prime field f."""
+    return [Poly(f, [*low, 1]) for low in itertools.product(range(f.p), repeat=degree)]
+
+
+def _irreducible(p):
+    """Irreducibility for degree <= 3: no root in the field."""
+    return p.degree == 1 or all(p.eval(x) != 0 for x in range(p.field.p))
 
 
 class TestIsCosquareBlock:
+    """Whether the companion block of p^l is a cosquare A^{-T} A, decided by
+    helpers.cosquare_root: a checked root, or an enumeration that proves
+    there is none."""
+
     def test_x_minus_one_cubed(self):
-        assert is_cosquare_block(PolySpec(Poly(QQ, [-1, 1]), 3)) is True
+        for field in (QQ, GF(5)):
+            Phi = frobenius(Poly(field, [-1, 1]), 3)
+            A = cosquare_root(Phi)
+            assert A is not None and inverse(A.transpose()) * A == Phi
+
+    def test_x_squared_plus_one_over_f3(self):
+        Phi = frobenius(Poly(GF(3), [1, 0, 1]))
+        A = cosquare_root(Phi)
+        assert A is not None and inverse(A.transpose()) * A == Phi
 
     def test_x_minus_one_squared(self):
-        assert is_cosquare_block(PolySpec(Poly(QQ, [-1, 1]), 2)) is False
+        for field in (QQ, GF(5)):
+            assert cosquare_root(frobenius(Poly(field, [-1, 1]), 2)) is None
 
     def test_x_itself(self):
-        assert is_cosquare_block(PolySpec(Poly(QQ, [0, 1]), 1)) is False
+        assert cosquare_root(frobenius(Poly(QQ, [0, 1]))) is None
+
+    @pytest.mark.parametrize("p, coeffs", [(5, [-1, 0, 1]), (3, [1, 1, 1]), (5, [1, -2, 1])],
+                             ids=["x2-1-F5", "x2+x+1-F3", "(x-1)2-F5"])
+    def test_no_root_for_reducible_specs(self, p, coeffs):
+        # (x - 1)(x + 1) over F_5, (x - 1)^2 over F_3 and (x - 1)^2 over F_5
+        # meet the criterion below, which holds only for irreducible p: no A
+        # in the whole nullspace over F_p is nonsingular
+        assert cosquare_root(frobenius(Poly(GF(p), coeffs))) is None
+
+    def test_agrees_with_the_criterion_on_irreducible_specs(self):
+        # for p irreducible, the companion block of p^l (size m) is a
+        # cosquare iff p != x, p != x + (-1)^(m+1) and p is self-reciprocal
+        # (Horn & Sergeichuk, LAA 416 (2006))
+        checked = 0
+        for q in (3, 5, 7):
+            f = GF(q)
+            for p in [*_monic_polys(f, 1), *_monic_polys(f, 2)]:
+                if not _irreducible(p):
+                    continue
+                for l in range(1, 6 // p.degree + 1):
+                    m = p.degree * l
+                    expected = (p.constant() != 0 and p != Poly(f, [(-1) ** (m + 1), 1])
+                                and reciprocal(p) == p)
+                    assert (cosquare_root(frobenius(p, l)) is not None) == expected, (q, p, l)
+                    checked += 1
+        assert checked == 3 * 6 + 3 * 3 + 5 * 6 + 10 * 3 + 7 * 6 + 21 * 3
 
     def test_odd_cosquares_over_f5_force_x_minus_one(self):
         f = GF(5)
-        irreducibles = _monic_irreducibles_f5()
+        irreducibles = [p for d in (1, 2) for p in _monic_polys(f, d) if _irreducible(p)]
         assert len(irreducibles) == 15
         x_minus_one = Poly(f, [f.convert(-1), 1])
         for p in irreducibles:
@@ -181,7 +224,7 @@ class TestIsCosquareBlock:
                 m = p.degree * l
                 if m % 2 == 0:
                     continue
-                if is_cosquare_block(PolySpec(p, l)):
+                if cosquare_root(frobenius(p, l)) is not None:
                     assert p == x_minus_one
 
 
@@ -193,7 +236,7 @@ class TestSums:
         assert skew_sum(jordan(1, 0), Matrix.identity(QQ, 1)) == mat([[0, 1], [0, 0]])
 
     def test_skew_sum_frobenius(self):
-        A = frobenius(PolySpec(Poly(QQ, [-1, 1]), 2))
+        A = frobenius(Poly(QQ, [-1, 1]), 2)
         expected = mat([[0, 0, 1, 0], [0, 0, 0, 1], [0, -1, 0, 0], [1, 2, 0, 0]])
         assert skew_sum(A, Matrix.identity(QQ, 2)) == expected
 

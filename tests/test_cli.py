@@ -304,6 +304,13 @@ class TestBlocksCommand:
         code, _, err = run(capsys, ["blocks", "gamma", "zero"])
         assert code == 2
 
+    @pytest.mark.parametrize("params", [["1,2"], ["1"], ["1,1", "0"]],
+                             ids=["not-monic", "degree-0", "power-0"])
+    def test_bad_frobenius_spec_exits_two(self, capsys, params):
+        code, out, err = run(capsys, ["blocks", "frobenius", "--", *params])
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad parameters for frobenius: frobenius ")
+
     def test_large_gamma_is_prompt(self):
         # the block is written down from its formula, with no elimination
         start = time.perf_counter()

@@ -10,7 +10,6 @@ from isodet import (
     Method,
     NoOddBlockError,
     Poly,
-    PolySpec,
     RegularizationResult,
     SingularMatrixError,
     certificate_singular,
@@ -428,7 +427,7 @@ class TestStructuralProperties:
                 m = p.degree * l
                 if 2 * m > 8:
                     continue
-                Phi = frobenius(PolySpec(p, l))
+                Phi = frobenius(p, l)
                 M = skew_sum(Phi, Matrix.identity(QQ, m))
                 expected = not (p == Poly(QQ, [-1, 1]) and l % 2 == 1)
                 assert decide(M).all_det_one == expected

@@ -27,7 +27,7 @@ from isodet import (
     rank,
     regularize,
 )
-from isodet.blocks import PolySpec, direct_sum, frobenius, gamma, jordan
+from isodet.blocks import direct_sum, frobenius, gamma, jordan
 from isodet.cli import parse_field
 from isodet.exactmat import (
     _PACK_MIN,
@@ -794,7 +794,7 @@ class TestEntrywiseAgainstReference:
     def test_kron_companion_pencil(self, field, coeffs):
         # the gamma route's point M^T ⊗ I_k + M ⊗ C_g, against its entries
         # m_ji [a = b] + m_ij c_ab written out one by one
-        C = frobenius(PolySpec(Poly(field, coeffs), 1))
+        C = frobenius(Poly(field, coeffs))
         k = C.nrows
         M = Matrix(field, [["1/2", 3, "-2/7"], [0, "5/6", 4], ["9/4", -1, 0]]
                    if field.p is None else [[1, 3, 2], [0, 5, 4], [9, -1, 0]])

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import isodet
 from isodet import Matrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,3 +97,9 @@ def test_import_loads_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          timeout=60, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "True"
+
+
+def test_public_names_resolve_once():
+    # a name retired from the package cannot linger in __all__
+    assert len(isodet.__all__) == len(set(isodet.__all__))
+    assert [name for name in isodet.__all__ if not hasattr(isodet, name)] == []

@@ -14,7 +14,6 @@ from isodet import (
     enumerate_isometries,
     gamma,
     jordan,
-    oracle_verdict,
     random_congruence,
     rank,
     symplectic_unit,
@@ -97,17 +96,13 @@ class TestEnumerate:
 
 class TestVerdict:
     def test_even_nilpotent(self):
-        assert oracle_verdict(jordan(2, 0, GF(3)))
+        assert enumerate_isometries(jordan(2, 0, GF(3))).all_det_one
 
     def test_zero(self):
-        assert not oracle_verdict(Matrix(GF(3), [[0]]))
+        assert not enumerate_isometries(Matrix(GF(3), [[0]])).all_det_one
 
     def test_odd_nilpotent(self):
-        assert not oracle_verdict(jordan(3, 0, GF(3)))
-
-    def test_matches_enumeration(self):
-        for M in all_matrices(2, 3):
-            assert oracle_verdict(M) == enumerate_isometries(M).all_det_one
+        assert not enumerate_isometries(jordan(3, 0, GF(3))).all_det_one
 
 
 class TestAgainstReference:
@@ -119,7 +114,6 @@ class TestAgainstReference:
         order = sum(tally.values())
         all_one = tally.get(1, 0) == order
         assert enumerate_isometries(M) == IsometrySummary(order, tally, all_one), M.to_lists()
-        assert oracle_verdict(M) == all_one
 
     def test_all_m2_f3(self):
         for M in all_matrices(2, 3):
