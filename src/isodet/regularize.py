@@ -8,8 +8,8 @@ Jordan blocks under an explicit congruence.
 verified before returning: S^T M S equals the right-hand side, the
 canonical form of M given by `RegularizationResult.canonical()`, entry for
 entry, and `full_rank` proves S and B nonsingular (over Q by one image mod
-a prime when that has full rank).  With no singular chain S = I and B = M,
-and the check is that M is nonsingular.  The construction works over Q
+a prime when that has full rank).  When M's kernel, taken once, is empty,
+that proves M nonsingular, and S = I, B = M.  The construction works over Q
 and over any F_p with p odd, uses no field extensions and no randomness.
 
 Algorithm sketch.  Vectors of the two-sided kernel of M span exactly the
@@ -79,14 +79,12 @@ def regularize(M: Matrix) -> RegularizationResult:
     if not M.is_square:
         raise ValueError("regularize needs a square matrix")
     n = M.nrows
-    W, spans = _decompose(M)
+    K = nullspace(M)
+    if not K.ncols:  # an empty kernel proves M nonsingular: S = I, B = M
+        return RegularizationResult(Matrix.identity(M.field, n), M, ())
+    W, spans = _decompose(M, K)
     if W.ncols != n:
         raise RegularizationError("basis size mismatch")
-    if not spans:
-        # S = I and B = M regularize M exactly when M is nonsingular
-        if not full_rank(M):
-            raise RegularizationError("regularization postcondition failed")
-        return RegularizationResult(Matrix.identity(M.field, n), M, ())
     spans.sort(key=len)
     b = n - sum(map(len, spans))
     S = _cols(W, [*range(b), *(c for span in spans for c in span)])
@@ -128,10 +126,11 @@ def _greedy_extend(base: Matrix, pool: Matrix) -> list[int]:
     return [j - base.ncols for j in pivots(hstack(base, pool)) if j >= base.ncols]
 
 
-def _decompose(G: Matrix) -> tuple[Matrix, list[range]]:
+def _decompose(G: Matrix, K: Matrix) -> tuple[Matrix, list[range]]:
     """A basis of F^n as the columns of W, and the column ranges of the
     singular chains of G in W; the columns before all ranges span the
-    regular part.
+    regular part.  K is nullspace(G), whose column structure the
+    two-sided kernel step relies on.
 
     A chain's columns u_1, ..., u_s pair as u_{i+1}^T G u_i = 1, and all
     other pairings (within a chain, across chains, and against the regular
@@ -139,7 +138,6 @@ def _decompose(G: Matrix) -> tuple[Matrix, list[range]]:
     """
     f = G.field
     n = G.nrows
-    K = nullspace(G)
     q = K.ncols
     if not q:
         return Matrix.identity(f, n), []
@@ -158,14 +156,16 @@ def _decompose(G: Matrix) -> tuple[Matrix, list[range]]:
             return K0, ones
         I = Matrix.identity(f, n)
         idx = _greedy_extend(K0, I)
-        W2, spans = _decompose(G.submatrix(idx, idx))
+        G2 = G.submatrix(idx, idx)
+        W2, spans = _decompose(G2, nullspace(G2))
         return hstack(_cols(I, idx) * W2, K0), spans + ones
 
     # Restrict to Y = {x : k^T G x = 0 for all k in ker G}.
     Ymat = nullspace(GTK.transpose())
     if Ymat.ncols != n - q:
         raise RegularizationError("unexpected restriction dimension")
-    WY, spansY = _decompose(Ymat.transpose() * G * Ymat)
+    GY = Ymat.transpose() * G * Ymat
+    WY, spansY = _decompose(GY, nullspace(GY))
     L = Ymat * WY
     b = n - q - sum(map(len, spansY))
 
@@ -219,8 +219,8 @@ def _decompose(G: Matrix) -> tuple[Matrix, list[range]]:
     # x_j^T G v alone for j != i as x_j^T G u = 0, and taking alpha*e_k off
     # v leaves v^T G x_j alone for j != k as e_k^T G x_j = 0.
     if h:
-        # the x_j of the head chains detect the head components of the
-        # known vectors, which the restriction cannot see
+        # kept for small entries, not correctness: these x_j pair with the
+        # ends and heads only, and the known vectors lose their head parts
         Xh = _solve(A.submatrix(range(q + h), range(n)),
                     _indicator(f, q + h, [(i, q + i) for i in range(h)]), "pairing system")
         X = hstack(Xh, X)

@@ -68,10 +68,11 @@ class TestParsing:
     @pytest.mark.parametrize("doc, message", [
         ('[["1", "0"], ["0", "1"]]', 'JSON document needs "field" and "rows"'),
         ("-1 Q\n", "bad size '-1'"),
-    ], ids=["json-array", "negative-size"])
+        ('{"field": "Q", "rows": [1, 2]}', '"rows" must be a list of lists'),
+    ], ids=["json-array", "negative-size", "rows-not-lists"])
     def test_input_error_names_the_fault(self, capsys, monkeypatch, doc, message):
-        code, _, err = run(capsys, ["decide", "-"], stdin=doc, monkeypatch=monkeypatch)
-        assert code == 2 and message in err
+        code, out, err = run(capsys, ["decide", "-"], stdin=doc, monkeypatch=monkeypatch)
+        assert code == 2 and out == "" and err.startswith("error: ") and message in err
 
     def test_nonsquare_rejected(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["decide", "-"],
@@ -242,7 +243,7 @@ class TestDecideCommand:
 
         module = importlib.import_module("isodet.regularize")  # the name isodet.regularize is the function
         monkeypatch.setattr(module, "_decompose",
-                            lambda G: (Matrix.identity(G.field, G.nrows), []))
+                            lambda G, K: (Matrix.identity(G.field, G.nrows), []))
         with pytest.raises(module.RegularizationError, match="postcondition"):
             run(capsys, ["decide", "-", "--emit-regularization", "--json"],
                 stdin='{"field": "Q", "rows": [["1", "0"], ["0", "0"]]}', monkeypatch=monkeypatch)
@@ -264,6 +265,12 @@ class TestDecideCommand:
         else:
             assert "singular sizes: [3]\n" in outs["regularize"]
             assert "singular sizes: not computed on this route\n" in outs["gamma-shift"]
+
+    @pytest.mark.parametrize("method", ["regularize", "gamma-shift"])
+    def test_empty_form_is_a_member(self, capsys, monkeypatch, method):
+        code, out, _ = run(capsys, ["decide", "-", "--method", method, "--json"],
+                           stdin='{"field":"Q","rows":[]}', monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["all_det_one"] is True
 
     def test_auto_method_rejected(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["decide", "-", "--method", "auto"], stdin=Z2_DOC,
@@ -372,6 +379,29 @@ class TestOracleCommand:
         assert code == 1
         assert json.loads(out) == {"group_order": 18, "det_counts": {"1": 9, "2": 9},
                                    "all_det_one": False, "verdict": "det-not-one-exists"}
+
+
+class TestErrorExits:
+    """An unreadable path or an unprintable result exits 2 with one `error:`
+    line and no output."""
+
+    @staticmethod
+    def check(capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        return err
+
+    @pytest.mark.parametrize("kind", ["missing", "not-utf8"])
+    def test_unreadable_path(self, capsys, tmp_path, kind):
+        path = tmp_path / "doc"
+        if kind == "not-utf8":
+            path.write_bytes(b'{"field": "Q", "rows": [["\xff"]]}')
+        assert "cannot read" in self.check(capsys, ["decide", str(path)])
+
+    def test_output_entry_past_4300_digits(self, capsys):
+        # the companion matrix of (x + 10^100)^50 has an entry of 5001 digits
+        err = self.check(capsys, ["blocks", "frobenius", "1" + "0" * 100 + ",1", "50"])
+        assert "50x50 matrix" in err and "4300 digits" in err
 
 
 class TestUnreadableInput:

@@ -154,6 +154,13 @@ class TestGammaShift:
         assert rep.rank_sequence[:2] == (2, 0)
         assert rep.odd_block_counts == (2,)
 
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+    def test_empty_form(self, field):
+        rep = decide_gamma_shift(Matrix(field, [], ncols=0))
+        assert rep.all_det_one is True
+        assert rep.rank_sequence == () and rep.odd_block_counts == ()
+        assert rep.singular_sizes is None
+
     def test_zero_pencil(self):
         rep = decide_gamma_shift(mat([[0]]))
         assert not rep.all_det_one

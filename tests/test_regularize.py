@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from isodet import (
     symplectic_unit,
     verify_congruence,
 )
+from isodet import exactmat
 from isodet.decide import odd_unipotent_counts
 
 from helpers import all_matrices, filtration_sizes, mat, random_nonsingular
@@ -93,6 +95,72 @@ class TestVerifyCongruence:
         S = mat([[0, 0], [1, 0]])
         M = symplectic_unit(1)
         assert not verify_congruence(S, M, M)
+
+    @pytest.mark.parametrize("S, M, N", [
+        (mat([[1, 0]]), mat([[1]]), mat([[1]])),
+        (Matrix.identity(QQ, 2), Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)),
+        (Matrix.identity(GF(3), 2), Matrix.identity(QQ, 2), Matrix.identity(QQ, 2)),
+    ], ids=["nonsquare", "size", "field"])
+    def test_mismatch_rejected(self, S, M, N):
+        assert not verify_congruence(S, M, N)
+
+
+# the module, not the function of the same name that isodet exports
+REG = importlib.import_module("isodet.regularize")
+
+
+class TestPostcondition:
+    """The general postcondition catches a wrong decomposition of a singular M."""
+
+    @pytest.mark.parametrize("rows, W, spans", [
+        # e_1 pairs with e_0, so it is no 1x1 singular block
+        ([[1, 0], [1, 0]], [[1, 0], [0, 1]], [range(1, 2)]),
+        # the right blocks on a singular basis
+        ([[1, 0], [0, 0]], [[1, 0], [0, 0]], [range(1, 2)]),
+        # no chain: B = M is singular
+        ([[1, 0], [0, 0]], [[1, 0], [0, 1]], []),
+    ], ids=["not-chains", "singular-basis", "no-chain"])
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+    def test_a_wrong_decomposition_raises(self, monkeypatch, rows, W, spans, field):
+        monkeypatch.setattr(REG, "_decompose", lambda G, K: (Matrix(field, W), list(spans)))
+        with pytest.raises(REG.RegularizationError, match="postcondition"):
+            regularize(Matrix(field, rows))
+
+
+class TestOneKernel:
+    """regularize proves M nonsingular by its kernel alone, taken once."""
+
+    @staticmethod
+    def calls(monkeypatch, name, M):
+        real, seen = getattr(exactmat, name), []
+        monkeypatch.setattr(exactmat, name, lambda *a: seen.append(a) or real(*a))
+        res = regularize(M)
+        assert res.singular_sizes == () and res.regular_part == M
+        return len(seen)
+
+    def test_one_image_over_q(self, monkeypatch):
+        M = random_nonsingular(random.Random(5), 12)
+        assert self.calls(monkeypatch, "_image_rank", M) == 1
+
+    def test_one_elimination_over_fp(self, monkeypatch):
+        M = random_nonsingular(random.Random(5), 12, GF(7))
+        assert self.calls(monkeypatch, "_eliminate", M) == 1
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+    @pytest.mark.parametrize("parts", [[gamma(4)], [jordan(3, 0), gamma(4)],
+                                       [jordan(2, 0), jordan(1, 0), symplectic_unit(2)]],
+                             ids=["nonsingular", "J3+G4", "J2+J1+Z4"])
+    def test_no_second_look_at_m(self, monkeypatch, field, parts):
+        # M's own kernel is the only elimination of M, whatever its blocks
+        T = random_nonsingular(random.Random(9), sum(p.nrows for p in parts), field)
+        M = T.transpose() * Matrix(field, direct_sum(parts).to_lists()) * T
+        seen = []
+        for name in ("nullspace", "full_rank", "pivots", "solve"):
+            real = getattr(REG, name)
+            monkeypatch.setattr(REG, name, lambda A, *rest, real=real, name=name:
+                                (seen.append(name) if A == M else None) or real(A, *rest))
+        check_output(M, regularize(M))
+        assert seen == ["nullspace"]
 
 
 class TestExhaustiveSmallFields:
