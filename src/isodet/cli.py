@@ -85,7 +85,8 @@ def parse_document(text: str) -> Matrix:
         raise DocumentError("empty input")
     if stripped[0] in "{[":
         try:
-            doc = json.loads(text)
+            # a number literal keeps its text: a float would round it first
+            doc = json.loads(text, parse_float=str)
         except (ValueError, RecursionError) as exc:
             raise DocumentError(f"bad JSON: {exc}") from None
         if not isinstance(doc, dict) or "field" not in doc or "rows" not in doc:

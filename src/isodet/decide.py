@@ -30,7 +30,7 @@ from .exactmat import (
     full_rank,
     inverse_times,
     kron,
-    power_rank_sequence,
+    pencil_rank_sequence,
     rank,
 )
 from .regularize import RegularizationResult, regularize
@@ -95,21 +95,14 @@ def odd_unipotent_counts(B: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _count_step(A: Matrix, C: Matrix, k: int, stage: str):
     """The rank sequence of P = A^{-1} C, each rank divided by k, and its
-    counts c_0 .. c_{(n-1)//2} for n = size/k; A must be nonsingular.
-
-    rank P = rank C, so a nonsingular C gives the constant sequence and no
-    counts, after a full-rank check of A.  Otherwise P is read off one
-    reduced elimination of [A | C], which also shows whether A is
-    nonsingular."""
+    counts c_0 .. c_{(n-1)//2} for n = size/k.  `full_rank` proves A
+    nonsingular, and `pencil_rank_sequence` reads the ranks off the Wong
+    sequence of the pencil (A, C), with no inverse and no power of P."""
     m = A.nrows
     n = m // k
-    if full_rank(C):
-        if not full_rank(A):
-            raise SingularMatrixError(f"{stage}: singular {m}x{m} matrix")
-        r = [n] * (n + 2)
-    else:
-        P = inverse_times(A, C, stage)
-        r = [x // k for x in power_rank_sequence(P)[: n + 2]]
+    if not full_rank(A):
+        raise SingularMatrixError(f"{stage}: singular {m}x{m} matrix")
+    r = [x // k for x in pencil_rank_sequence(A, C)[: n + 2]]
     # r holds r_0 .. r_{n+1}, enough for every count
     return tuple(r), tuple(r[2 * j] - 2 * r[2 * j + 1] + r[2 * j + 2] for j in range((n + 1) // 2))
 

@@ -20,19 +20,20 @@ builds the stored form; the others use the public operations, among them
 `hstack`, `vstack`, `direct_sum` and `kron`.
 
 `rank`, `pivots`, `rref`, `solve`, `inverse_times` (A^{-1} C, so
-`inverse`), `nullspace` and `det` share one fraction-free elimination
-kernel that takes the stored rows as they are: a forward pass,
-`_eliminate`, and a back substitution, `_back_substitute`, that runs only
-when a reduced form is asked for (`rref`, `solve`, `inverse_times`, and
-`nullspace` when some column is free).  Their outputs are read off the
-kernel's rows in the stored form, a row over its pivot entry.  The
+`inverse`), `nullspace`, `det` and `pencil_rank_sequence` (the ranks of
+(A^{-1} C)^k) share one fraction-free elimination kernel that takes the
+stored rows as they are: a forward pass, `_eliminate`, and a back
+substitution, `_back_substitute`, that runs only when a reduced form is
+asked for (`rref`, `solve`, `inverse_times`, and `nullspace` and
+`pencil_rank_sequence` when some column is free).  Their outputs are read
+off the kernel's rows in the stored form, a row over its pivot entry.  The
 forward pass also keeps a log of its row updates over Q; only `det` reads
 it.  `det_poly`, the pencil determinant det(A + t·B), has no elimination
 of its own: it calls `det` at n + 1 points and `solve` once.
 
-Over Q, `full_rank` and `nullspace` (of a matrix with at least as many
-rows as columns) first run the forward pass on the image
-of the stored integer rows mod one prime, `_IMAGE_P`, once min(m, n)
+Over Q, `full_rank`, `nullspace` (of a matrix with at least as many
+rows as columns) and `pencil_rank_sequence` (of C) first run the forward
+pass on the image of the stored integer rows mod one prime, `_IMAGE_P`, once min(m, n)
 reaches `_IMAGE_MIN`.  Row i of A is its stored row over d_i != 0, so A
 has the rank of its integer rows, and a minor of those that is nonzero mod
 p is a nonzero integer: a full-rank image proves that A has full rank (the
@@ -61,6 +62,7 @@ Packed rows never leave the call that packs them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
 from operator import add, mul, sub
@@ -983,6 +985,94 @@ def det_poly(A: Matrix, B: Matrix) -> Poly:
     V = Matrix(QQ, [[t ** k for k in range(n + 1)] for t in range(n + 1)])
     D = Matrix(QQ, [[det(A + B.scale(t))] for t in range(n + 1)])
     return Poly(f, solve(V, D).col(0))
+
+
+def pencil_rank_sequence(A: Matrix, C: Matrix) -> list[int]:
+    """[r_0, ..., r_{n+1}] with r_k = rank((A^{-1} C)^k) for n x n A and C,
+    A nonsingular (not checked here), with no matrix power and no rank of
+    an n x n matrix.
+
+    ker (A^{-1} C)^k is W_k of the pencil's Wong sequence W_0 = 0,
+    W_{k+1} = C^{-1}(A W_k) (Berger, Ilchmann & Trenn, SIAM J. Matrix Anal.
+    Appl. 33 (2012)), so r_k = n - dim W_k.  One reduced elimination of
+    [C | A] leaves rows E[C | A]: the first rho = rank C rows hold the
+    reduced form of C and T A, the rows below 0 and L A with L C = 0.  Then
+    C x = A w is solvable exactly when L A w = 0, and its solution with the
+    free coordinates 0 has x_j = (T A w)_i over the pivot entry on pivot j
+    of row i.  W_1 = ker C, and W_{k+1} adds to W_k that solution for
+    w = W_k c, c a null space vector of L A W_k whose free column lies in
+    W_k's newest block: one of an older block solves for a w in W_{k-1},
+    whose solution lies in W_k already.  So r_{k+1} = r_k minus the number
+    of new vectors, and the sequence is constant once there are none.  W
+    itself is never stored, only the columns E A x of its vectors x, each
+    made primitive over Q (scaling x keeps W).
+
+    C = 0 and a nonsingular C take no elimination of [C | A]: C's forward
+    pass (over Q from _IMAGE_MIN on, that of its image mod _IMAGE_P) finds
+    the latter.
+    """
+    n = A.nrows
+    if not (A.is_square and C.is_square) or C.nrows != n or A.field != C.field:
+        raise ValueError("pencil_rank_sequence needs square A and C of one size and field")
+    if C.is_zero():
+        return [n] + [0] * (n + 1)
+    # a nonsingular C is found by C's own forward pass (or image), not by
+    # one over the twice as wide [C | A]
+    r = _image_rank(C)
+    if (rank(C) if r is None else r) == n:
+        return [n] * (n + 2)
+    p = A.field.p
+    rows = list(map(list, hstack(C, A)._rows))
+    piv = _eliminate(rows, 2 * n, p)[0]
+    rho = bisect_left(piv, n)
+    top = piv[:rho]
+    _back_substitute(rows, top, p)
+    # E A x for x zero off C's pivots, x_{top[i]} = t_i / pv_i, is ea·t / m
+    # over Q, with m the lcm of the pivot entries pv_i
+    if p is None:
+        pv = [row[c] for row, c in zip(rows, top)]
+        m = lcm(*pv)
+        ea = [[r[n + c] * (m // d) for c, d in zip(top, pv)] for r in rows]
+    else:
+        m = 1
+        ea = [[r[n + c] for c in top] for r in rows]
+
+    def image(t, j=None):
+        """E A x for that x, plus m times E A's column j; primitive over Q."""
+        y = [sum(map(mul, r, t)) for r in ea]
+        if j is not None:
+            y = [m * r[n + j] - x for r, x in zip(rows, y)]
+        if p is not None:
+            return [x % p for x in y]
+        g = gcd(*y)
+        return [x // g for x in y] if g > 1 else y
+
+    # W_1 = ker C: free column j of C's reduced form, minus that column on the pivots
+    on_pivot = set(top)
+    cols = [image([rows[i][j] for i in range(rho)], j) for j in range(n) if j not in on_pivot]
+    seq = [n, rho]
+    old = 0
+    while seq[-1]:
+        width = len(cols)
+        law = [[y[i] for y in cols] for i in range(rho, n)]
+        q = _eliminate(law, width, p)[0]
+        on_pivot = set(q)
+        new = [j for j in range(old, width) if j not in on_pivot]
+        if not new:
+            break
+        _back_substitute(law, q, p)
+        for j in new:
+            # the null space vector of free column j, as (coefficient, column)
+            terms = [(law[i][j], i) for i in range(len(q)) if law[i][j]]
+            if p is None:
+                e = lcm(*(law[i][q[i]] for _, i in terms))
+                c = [(e, j)] + [(-a * (e // law[i][q[i]]), q[i]) for a, i in terms]
+            else:
+                c = [(1, j)] + [(-a, q[i]) for a, i in terms]
+            cols.append(image([sum(a * cols[l][i] for a, l in c) for i in range(rho)]))
+        seq.append(seq[-1] - len(new))
+        old = width
+    return seq + [seq[-1]] * (n + 2 - len(seq))
 
 
 def power_rank_sequence(P: Matrix) -> list[int]:

@@ -123,6 +123,16 @@ class TestParsing:
         M = parse_document('{"field": "Q", "rows": [["1e3", "2.5e-2"], ["1E4300", "0e0"]]}')
         assert M[0, 0] == 1000 and M[0, 1] * 40 == 1 and M[1, 0] == 10 ** 4300
 
+    @pytest.mark.parametrize("entry", ["1.0000000000000001", "1e-400", "-2.5E-2", "7"])
+    def test_number_entries_read_as_written(self, capsys, monkeypatch, entry):
+        # a JSON number is the same entry as its text in a string, not the
+        # float it rounds to: [[1, 1], [1.0000000000000001, 1]] is nonsingular
+        docs = [f'{{"field": "Q", "rows": [[1, 1], [{x}, 1]]}}' for x in (entry, f'"{entry}"')]
+        assert parse_document(docs[0]) == parse_document(docs[1])
+        reports = [run(capsys, ["decide", "-", "--json"], stdin=doc, monkeypatch=monkeypatch)
+                   for doc in docs]
+        assert reports[0] == reports[1]
+
     def test_large_prime_modulus(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["decide", "-"],
                            stdin='{"field": "F1000000000000000003", "rows": [["0", "1"], ["-1", "0"]]}',

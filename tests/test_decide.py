@@ -191,6 +191,10 @@ class TestGammaShift:
         monkeypatch.setattr(d, "full_rank", first_full)
         with pytest.raises(SingularMatrixError, match="^decide_gamma_shift: singular 1x1 matrix$"):
             decide_gamma_shift(mat([[0]]))
+        # M - M^T nonsingular: the count step must still prove the point singular
+        calls.clear()
+        with pytest.raises(SingularMatrixError, match="^decide_gamma_shift: singular 2x2 matrix$"):
+            decide_gamma_shift(mat([[1, 1], [-1, -1]]))
 
     def test_extension_shift_over_f3(self):
         # the pencil vanishes at 0, 1 and -1, every point of F_3, yet is not

@@ -1,3 +1,4 @@
+import importlib
 import random
 import time
 from fractions import Fraction
@@ -23,6 +24,7 @@ from isodet import (
     inverse,
     odd_unipotent_counts,
     power_rank_sequence,
+    random_transform,
     random_congruence,
     rank,
     regularize,
@@ -38,6 +40,7 @@ from isodet.exactmat import (
     inverse_times,
     kron,
     nullspace,
+    pencil_rank_sequence,
     pivots,
     rref,
     solve,
@@ -282,6 +285,66 @@ class TestPolyDivmod:
         for f in FIELDS:
             with pytest.raises(ZeroDivisionError):
                 divmod(Poly(f, [1, 1]), Poly.zero(f))
+
+
+def reference_pencil_ranks(A: Matrix, C: Matrix) -> list[int]:
+    return power_rank_sequence(inverse_times(A, C, "reference"))
+
+
+PENCIL_FIELDS = [QQ, GF(3), GF(5), GF(7), GF(10007)]
+
+
+class TestPencilRankSequence:
+    @pytest.mark.parametrize("field", PENCIL_FIELDS, ids=repr)
+    def test_jordan_pencils(self, field):
+        # A^{-1}(A J) = J: sums of J_s(lambda) with lambda in {0, 1, 2}
+        rng = random.Random(11)
+        for _ in range(40):
+            J = direct_sum([jordan(rng.randint(1, 4), rng.choice([0, 1, 2]), field)
+                            for _ in range(rng.randint(1, 4))], field=field)
+            A = random_transform(field, J.nrows, rng.getrandbits(32))
+            assert pencil_rank_sequence(A, A * J) == reference_pencil_ranks(A, A * J)
+
+    @pytest.mark.parametrize("field", PENCIL_FIELDS, ids=repr)
+    @pytest.mark.parametrize("sizes", [(11,), (13,), (21, 15, 11)], ids=str)
+    def test_scrambled_long_chains(self, field, sizes):
+        # the count step's pencil (B^T, B - B^T): odd Gamma_r chains fall by
+        # one rank per step
+        B = random_congruence(direct_sum([gamma(r, field) for r in sizes], field=field), 5)
+        BT = B.transpose()
+        assert pencil_rank_sequence(BT, B - BT) == reference_pencil_ranks(BT, B - BT)
+
+    def test_extension_point_pencils_over_f3(self, monkeypatch):
+        # the nk x nk pencils the gamma route builds at x mod g, deg g > 1
+        d = importlib.import_module("isodet.decide")
+        seen = []
+
+        def record(A, C):
+            seen.append((A, C))
+            return pencil_rank_sequence(A, C)
+
+        monkeypatch.setattr(d, "pencil_rank_sequence", record)
+        f = GF(3)
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.choice([3, 4])
+            decide_gamma_shift(Matrix(f, [[rng.randrange(3) for _ in range(n)] for _ in range(n)]))
+        wide = [(A, C) for A, C in seen if A.nrows > 4]
+        assert len(wide) >= 20
+        for A, C in wide:
+            assert pencil_rank_sequence(A, C) == reference_pencil_ranks(A, C)
+
+    @pytest.mark.parametrize("field", PENCIL_FIELDS, ids=repr)
+    def test_zero_and_nonsingular_c(self, field):
+        for n in range(5):
+            A = random_transform(field, n, n)
+            assert pencil_rank_sequence(A, Matrix.zeros(field, n, n)) == [n] + [0] * (n + 1)
+            C = random_transform(field, n, n + 7)
+            assert pencil_rank_sequence(A, C) == [n] * (n + 2) == reference_pencil_ranks(A, C)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            pencil_rank_sequence(mat([[1]]), mat([[1, 0], [0, 1]]))
 
 
 class TestPowerRankSequence:
