@@ -80,28 +80,31 @@ def skew_fast_path(M: Matrix) -> bool:
     return rank(M - M.transpose()) == M.nrows
 
 
-def odd_unipotent_counts(B: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def odd_unipotent_counts(B: Matrix, _nonsingular: bool = False
+                         ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Rank sequence r_k = rank((B^{-T}B - I)^k) and the counts
     c_k = r_{2k} - 2 r_{2k+1} + r_{2k+2} of size-(2k+1) unipotent Jordan
-    blocks of the cosquare.  B must be nonsingular (0x0 allowed)."""
+    blocks of the cosquare.  B must be nonsingular (0x0 allowed): `full_rank`
+    proves it, unless the caller has (`_nonsingular`)."""
     if not B.is_square:
         raise ValueError("square matrix required")
-    if B.nrows == 0:
+    n = B.nrows
+    if n == 0:
         return (0,), ()
+    if not (_nonsingular or full_rank(B)):
+        raise SingularMatrixError(f"odd_unipotent_counts: singular {n}x{n} matrix")
     BT = B.transpose()
     # B^{-T}(B - B^T) = B^{-T}B - I: no inverse, no cosquare product
-    return _count_step(BT, B - BT, 1, "odd_unipotent_counts")
+    return _count_step(BT, B - BT, 1)
 
 
-def _count_step(A: Matrix, C: Matrix, k: int, stage: str):
+def _count_step(A: Matrix, C: Matrix, k: int):
     """The rank sequence of P = A^{-1} C, each rank divided by k, and its
-    counts c_0 .. c_{(n-1)//2} for n = size/k.  `full_rank` proves A
-    nonsingular, and `pencil_rank_sequence` reads the ranks off the Wong
-    sequence of the pencil (A, C), with no inverse and no power of P."""
-    m = A.nrows
-    n = m // k
-    if not full_rank(A):
-        raise SingularMatrixError(f"{stage}: singular {m}x{m} matrix")
+    counts c_0 .. c_{(n-1)//2} for n = size/k.  A must be proven
+    nonsingular by the caller; `pencil_rank_sequence` reads the ranks off
+    the Wong sequence of the pencil (A, C), with no inverse and no power of
+    P."""
+    n = A.nrows // k
     r = [x // k for x in pencil_rank_sequence(A, C)[: n + 2]]
     # r holds r_0 .. r_{n+1}, enough for every count
     return tuple(r), tuple(r[2 * j] - 2 * r[2 * j + 1] + r[2 * j + 2] for j in range((n + 1) // 2))
@@ -160,8 +163,9 @@ def decide(M: Matrix) -> DecisionReport:
     reg = regularize(M)
     sizes = reg.singular_sizes
     odd_singular = any(s % 2 == 1 for s in sizes)
-    # padding is exact: c_k = 0 once 2k+1 exceeds the regular part's size
-    r_seq, counts = odd_unipotent_counts(reg.regular_part)
+    # regularize has proven B nonsingular; padding is exact: c_k = 0 once
+    # 2k+1 exceeds the regular part's size
+    r_seq, counts = odd_unipotent_counts(reg.regular_part, _nonsingular=True)
     counts += (0,) * ((n + 1) // 2 - len(counts))
     ok = not odd_singular and all(c == 0 for c in counts)
 
@@ -241,7 +245,8 @@ def decide_gamma_shift(M: Matrix) -> DecisionReport:
     Jordan blocks of N at eigenvalue mu = (1+gamma)^{-1}, so the rank
     sequence of N - mu*I (divided by k) gives the same counts.  It is read
     off (M^T + gamma*M)^{-1} (M - M^T) = (1+gamma)(N - mu*I), which has the
-    same ranks, by `_count_step`.
+    same ranks, by `_count_step`, which takes the point test's proof that
+    M^T + gamma*M is nonsingular.
     """
     if not M.is_square:
         raise ValueError("square matrix required")
@@ -266,8 +271,8 @@ def decide_gamma_shift(M: Matrix) -> DecisionReport:
                 return DecisionReport(False, Method.GAMMA_SHIFT, None, (), ())
         elif usable:
             break
-    rhs = kron(M - MT, Matrix.identity(f, k))
-    r, counts = _count_step(shifted, rhs, k, "decide_gamma_shift")
+    # the point test has proven shifted nonsingular
+    r, counts = _count_step(shifted, kron(M - MT, Matrix.identity(f, k)), k)
     return DecisionReport(
         all_det_one=all(c == 0 for c in counts),
         method=Method.GAMMA_SHIFT,

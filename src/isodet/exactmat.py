@@ -48,24 +48,33 @@ Over F_p the kernel and the product pack rows into ints of w-bit slots,
 one slot per entry, the first entry in the top slot.  A row takes at most k
 updates (or a product row k terms), each adding at most (p - 1)^2 to a
 slot: an update adds f times the pivot row negated, (-y) mod p in each slot,
-so no slot borrows.  w = 2·bitlen(p) + bitlen(k) then keeps every slot
-below 2^w: (p - 1) + k·(p - 1)^2 < 2^bitlen(k)·p^2 < 2^w.  A row update is
+so no slot borrows.  A slot starts below p, so it never exceeds
+(p - 1) + k·(p - 1)^2, and w is the least of 16, 32 and 64 (else the least
+width at all) with that bound below 2^w: no slot carries into the next.
+A 16-, 32- or 64-bit slot is one machine word of an `array`, so a row packs
+by one `int.from_bytes` of the reversed row's words and unpacks by one
+`to_bytes` of its low n slots, masked (a pivot row holds multiples of p
+above them), into an array.  Other widths go by shifts.  A row update is
 one multiply-add, a product row one sum of the right factor's packed rows,
 and a row is unpacked and reduced mod p only when it becomes a pivot row
 or a product row (Dumas, Fousse & Salvy, J. Symbolic Comput. 46 (2011)).
 Packing costs a pack and an unpack per pivot and a shift per row and
 pivot, so it pays only when rows take enough updates: a product packs
 rows at least `_PACK_MIN` (8) entries wide, an elimination pass when a row
-can take `_pack_rows(p)` updates.  Smaller calls keep the per-entry loop.
-Packed rows never leave the call that packs them.
+can take `_pack_rows(p)` updates.  Both were re-measured with word slots:
+one size below them packing was no faster, but for products over p of 31
+bits and more.  Smaller calls keep the per-entry loop.  Packed rows never
+leave the call that packs them.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
 from operator import add, mul, sub
+from sys import byteorder
 from typing import Iterable, Sequence
 
 
@@ -483,6 +492,10 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
 # 0.43-0.63x at width 12, square and random over F_3 to F_(2^61 - 1).
 _PACK_MIN = 8
 
+# the array typecodes of the byte-aligned slot widths, 16, 32 and 64 bits,
+# which pack and unpack through bytes; other widths go by shifts
+_SLOT_CODES = {array(c).itemsize * 8: c for c in "HIQ"}
+
 
 def _pack_rows(p: int) -> tuple[int, float]:
     """The fewest updates a row must be able to take (rows and columns of
@@ -511,13 +524,18 @@ def _pack_rows(p: int) -> tuple[int, float]:
 
 def _slot_bits(p: int, k: int) -> int:
     """The slot width w for residues mod p and k updates or product terms
-    per row (see the module docstring)."""
-    return 2 * p.bit_length() + k.bit_length()
+    per row: the least of 16, 32 and 64, else the least width at all, with
+    (p - 1) + k·(p - 1)^2 < 2^w (see the module docstring)."""
+    need = ((p - 1) + k * (p - 1) ** 2).bit_length()
+    return next((w for w in _SLOT_CODES if w >= need), need)
 
 
 def _pack(row: Sequence[int], w: int) -> int:
     """The row's entries as one int of w-bit slots, the first entry in the
     top slot, so that entry j of a row of width n sits at bit w·(n-1-j)."""
+    code = _SLOT_CODES.get(w)
+    if code:
+        return int.from_bytes(array(code, row[::-1]).tobytes(), byteorder)
     P = 0
     for x in row:
         P = (P << w) | x
@@ -525,7 +543,13 @@ def _pack(row: Sequence[int], w: int) -> int:
 
 
 def _unpack(P: int, n: int, w: int, p: int, c: int = 1) -> list[int]:
-    """The low n slots of P, each times c and reduced mod p."""
+    """The low n slots of P, each times c and reduced mod p.  The slots
+    above them need not be 0: a pivot row holds multiples of p there."""
+    code = _SLOT_CODES.get(w)
+    if code:
+        slots = array(code, (P & ((1 << w * n) - 1)).to_bytes(w * n >> 3, byteorder))
+        slots.reverse()
+        return [x * c % p for x in slots]
     mask = (1 << w) - 1
     return [(P >> s & mask) * c % p for s in range(w * (n - 1), -1, -w)]
 
@@ -1009,7 +1033,8 @@ def pencil_rank_sequence(A: Matrix, C: Matrix) -> list[int]:
 
     C = 0 and a nonsingular C take no elimination of [C | A]: C's forward
     pass (over Q from _IMAGE_MIN on, that of its image mod _IMAGE_P) finds
-    the latter.
+    the latter.  A skew C of odd order skips that pass: det C = det(-C^T)
+    = -det C, so C is singular in odd characteristic.
     """
     n = A.nrows
     if not (A.is_square and C.is_square) or C.nrows != n or A.field != C.field:
@@ -1017,10 +1042,11 @@ def pencil_rank_sequence(A: Matrix, C: Matrix) -> list[int]:
     if C.is_zero():
         return [n] + [0] * (n + 1)
     # a nonsingular C is found by C's own forward pass (or image), not by
-    # one over the twice as wide [C | A]
-    r = _image_rank(C)
-    if (rank(C) if r is None else r) == n:
-        return [n] * (n + 2)
+    # one over the twice as wide [C | A]; a skew C of odd order needs none
+    if not (n % 2 and C == -C.transpose()):
+        r = _image_rank(C)
+        if (rank(C) if r is None else r) == n:
+            return [n] * (n + 2)
     p = A.field.p
     rows = list(map(list, hstack(C, A)._rows))
     piv = _eliminate(rows, 2 * n, p)[0]

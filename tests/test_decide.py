@@ -79,7 +79,7 @@ class TestDecideExamples:
         monkeypatch.setattr(d, "skew_fast_path", lambda M: pytest.fail("skew test on an accept"))
         assert decide(symplectic_unit(1)).all_det_one
         monkeypatch.setattr(d, "skew_fast_path", skew)
-        monkeypatch.setattr(d, "odd_unipotent_counts", lambda B: ((2, 1, 1, 1), (1,)))
+        monkeypatch.setattr(d, "odd_unipotent_counts", lambda B, **_: ((2, 1, 1, 1), (1,)))
         with pytest.raises(AssertionError):
             decide(symplectic_unit(1))
 
@@ -140,7 +140,7 @@ class TestOddUnipotentCounts:
 
     @pytest.mark.parametrize("rows", [[[0]], [[1, 1], [1, 1]], [[0, 0], [1, 0]]])
     def test_singular_raises(self, rows):
-        # the first two reach the A^{-1}C read, the third the rank check
+        # the public entry point proves B nonsingular itself, by full_rank
         n = len(rows)
         with pytest.raises(SingularMatrixError, match=f"^odd_unipotent_counts: singular {n}x{n}"):
             odd_unipotent_counts(mat(rows))
@@ -178,23 +178,31 @@ class TestGammaShift:
             M = random_rational(rng, n, 3)
             assert decide(M).all_det_one == decide_gamma_shift(M).all_det_one
 
-    def test_singular_shift_names_stage(self, monkeypatch):
-        # a point test that passed a singular pencil value would hand it to
-        # the count step, whose A^{-1}C read names the route
+    def test_each_route_proves_its_pencil_nonsingular_once(self, monkeypatch):
+        # regularize's postcondition proves B nonsingular and the gamma
+        # route's point test proves M^T + gamma*M: the count step re-proves
+        # neither, and only the public odd_unipotent_counts checks its B
         d = importlib.import_module("isodet.decide")
         real_full_rank, calls = d.full_rank, []
 
-        def first_full(A):
-            calls.append(A)
-            return len(calls) == 1 or real_full_rank(A)
+        def counted(A):
+            calls.append((A.nrows, A.ncols))
+            return real_full_rank(A)
 
-        monkeypatch.setattr(d, "full_rank", first_full)
-        with pytest.raises(SingularMatrixError, match="^decide_gamma_shift: singular 1x1 matrix$"):
-            decide_gamma_shift(mat([[0]]))
-        # M - M^T nonsingular: the count step must still prove the point singular
+        monkeypatch.setattr(d, "full_rank", counted)
+        for M in (gamma(3), direct_sum([jordan(2, 0, QQ), gamma(4)])):
+            n = M.nrows
+            calls.clear()
+            decide(M)
+            assert calls == []
+            # one point test per point: t = 0 proves gamma(3)^T nonsingular;
+            # for the second M it is a zero, and later points take rank
+            decide_gamma_shift(M)
+            assert calls == [(n, n)]
+        B = gamma(3)
         calls.clear()
-        with pytest.raises(SingularMatrixError, match="^decide_gamma_shift: singular 2x2 matrix$"):
-            decide_gamma_shift(mat([[1, 1], [-1, -1]]))
+        assert odd_unipotent_counts(B) == d.odd_unipotent_counts(B, _nonsingular=True)
+        assert calls == [(3, 3)]
 
     def test_extension_shift_over_f3(self):
         # the pencil vanishes at 0, 1 and -1, every point of F_3, yet is not

@@ -34,7 +34,10 @@ from isodet.cli import parse_field
 from isodet.exactmat import (
     _PACK_MIN,
     MAX_MODULUS,
+    _pack,
     _pack_rows,
+    _slot_bits,
+    _unpack,
     full_rank,
     hstack,
     inverse_times,
@@ -341,6 +344,16 @@ class TestPencilRankSequence:
             assert pencil_rank_sequence(A, Matrix.zeros(field, n, n)) == [n] + [0] * (n + 1)
             C = random_transform(field, n, n + 7)
             assert pencil_rank_sequence(A, C) == [n] * (n + 2) == reference_pencil_ranks(A, C)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+    def test_odd_skew_c_takes_no_rank_of_c(self, field, monkeypatch):
+        # a skew C of odd order is singular: no image and no rank of C alone
+        B = random_congruence(direct_sum([gamma(5, field), gamma(6, field)], field=field), 3)
+        BT = B.transpose()
+        expected = reference_pencil_ranks(BT, B - BT)
+        monkeypatch.setattr(exactmat, "_image_rank", lambda A: pytest.fail("image of C"))
+        monkeypatch.setattr(exactmat, "rank", lambda A: pytest.fail("rank of C"))
+        assert pencil_rank_sequence(BT, B - BT) == expected
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -667,6 +680,45 @@ class TestPackedRows:
             assert full * full == Matrix(field, [[n % p] * n] * n)
             assert inverse_times(A, full, "test") == Matrix(
                 field, [r[n:] for r in ref_rref(augmented(A, full))[0]], ncols=n)
+
+    # (p, k, w) on both sides of each slot width change: 16 -> 32 bits,
+    # 32 -> 64 bits and 64 bits -> the shift loop, w = _slot_bits(p, k) for
+    # k updates or product terms per row.  The product packs at every k
+    # here, the forward pass from k = 8 and the backward pass over 67 and
+    # 10007, so p = 67 takes the 16 -> 32 change in both passes too.
+    @pytest.mark.parametrize("p, k, w", [(131, 3, 16), (131, 4, 32), (67, 15, 16), (67, 16, 32),
+                                         (10007, 42, 32), (10007, 43, 64),
+                                         (1073741789, 16, 64), (1073741789, 17, 65)])
+    @pytest.mark.parametrize("above", [1, -1], ids=["forward", "backward"])
+    def test_slot_width_boundaries(self, p, k, w, above):
+        assert _slot_bits(p, k) == w
+        f = GF(p)
+        # k columns: each row below the k-th takes k updates, one per pivot,
+        # and back substitution runs over k pivots
+        A = lu_product(f, k + 1, k, above)
+        assert_kernel_matches_reference(A)
+        S = lu_product(f, k, k, above)
+        assert det(S) == 1 == ref_det(S)
+        J = Matrix(f, [[1] * k] * k)
+        assert inverse_times(S, S * J, "test") == J
+        # every slot of these products sums k terms, each (p - 1)^2 in F's
+        full = Matrix(f, [[p - 1] * k] * (k + 8))
+        for X, Y in ((A, A.transpose()), (full, full.transpose()), (full, A.transpose())):
+            assert X * Y == Matrix(f, ref_matmul(X, Y), ncols=Y.ncols)
+        C = full.submatrix(range(k), range(k))
+        assert inverse_times(S, C, "test") == Matrix(
+            f, [r[k:] for r in ref_rref(augmented(S, C))[0]], ncols=k)
+
+    def test_unpack_masks_the_slots_above(self):
+        # a pivot row in _clear_packed holds nonzero multiples of p left of
+        # its pivot; the row's tail is read off its low slots alone
+        for p, k in ((131, 3), (131, 4), (10007, 43), (1073741789, 17)):
+            w = _slot_bits(p, k)
+            low = [p - 1, 0, 1, 2, p - 2]
+            P = _pack([3 * p, p, 7 * p] + low, w)
+            assert P >> (5 * w) and _unpack(P, 8, w, p) == [0, 0, 0] + low
+            assert _unpack(P, 5, w, p) == low
+            assert _unpack(P, 5, w, p, p - 1) == [-x % p for x in low]
 
     @pytest.mark.parametrize("field", [GF(3), GF(LARGE_PRIME)], ids=repr)
     def test_row_swaps_and_scaled_pivots(self, field):

@@ -8,7 +8,8 @@ check of the verdict."""
 
 import pytest
 
-from isodet import GF, QQ, decide, decide_gamma_shift, enumerate_isometries, verify_certificate
+from isodet import (GF, QQ, decide, decide_gamma_shift, enumerate_isometries, exactmat,
+                    verify_certificate)
 
 from helpers import known_sum
 
@@ -67,3 +68,27 @@ def test_oracle_known_answers(spec, order):
     assert summary.all_det_one is verdict
     assert decide(M).all_det_one is verdict
     assert decide_gamma_shift(M).all_det_one is verdict
+
+
+@pytest.mark.parametrize("spec", ["J3+J2+G9", "G8+Z4"])  # n = 14, refused; n = 16, accepted
+def test_wide_slot_routes(spec, monkeypatch):
+    # over GF(2^61 - 1) a slot needs over 64 bits, so the packed kernel
+    # packs and unpacks by shifts, a path the byte-aligned slots of smaller
+    # p never take
+    widths = set()
+
+    def pack(row, w):
+        widths.add(w)
+        return real_pack(row, w)
+
+    real_pack = exactmat._pack
+    monkeypatch.setattr(exactmat, "_pack", pack)
+    M, sizes, counts, verdict = known_sum(spec, GF(2 ** 61 - 1), seed=spec)
+    rep = decide(M)
+    assert (rep.all_det_one, rep.singular_sizes, rep.odd_block_counts) == (verdict, sizes, counts)
+    assert (rep.certificate is None) is verdict
+    assert verdict or verify_certificate(M, rep.certificate)
+    gam = decide_gamma_shift(M)
+    assert gam.all_det_one is verdict
+    assert gam.odd_block_counts == (counts if verdict else ())
+    assert widths and min(widths) > 64
