@@ -45,7 +45,6 @@ from .oracle import (
     IsometrySummary,
     enumerate_isometries,
     random_congruence,
-    random_transform,
 )
 from .regularize import RegularizationResult, regularize, verify_congruence
 
@@ -59,5 +58,5 @@ __all__ = [
     "certificate_singular", "decide", "decide_gamma_shift", "odd_unipotent_counts",
     "skew_fast_path", "verify_certificate",
     "BudgetExceededError", "IsometrySummary",
-    "enumerate_isometries", "random_congruence", "random_transform",
+    "enumerate_isometries", "random_congruence",
 ]

@@ -80,31 +80,28 @@ def skew_fast_path(M: Matrix) -> bool:
     return rank(M - M.transpose()) == M.nrows
 
 
-def odd_unipotent_counts(B: Matrix, _nonsingular: bool = False
-                         ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def odd_unipotent_counts(B: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Rank sequence r_k = rank((B^{-T}B - I)^k) and the counts
     c_k = r_{2k} - 2 r_{2k+1} + r_{2k+2} of size-(2k+1) unipotent Jordan
-    blocks of the cosquare.  B must be nonsingular (0x0 allowed): `full_rank`
-    proves it, unless the caller has (`_nonsingular`)."""
+    blocks of the cosquare, by `_count_step` on the pencil (B^T, B - B^T).
+    B must be nonsingular (0x0 allowed); `full_rank` proves it."""
     if not B.is_square:
         raise ValueError("square matrix required")
-    n = B.nrows
-    if n == 0:
-        return (0,), ()
-    if not (_nonsingular or full_rank(B)):
-        raise SingularMatrixError(f"odd_unipotent_counts: singular {n}x{n} matrix")
+    if not full_rank(B):
+        raise SingularMatrixError(f"odd_unipotent_counts: singular {B.nrows}x{B.nrows} matrix")
     BT = B.transpose()
-    # B^{-T}(B - B^T) = B^{-T}B - I: no inverse, no cosquare product
     return _count_step(BT, B - BT, 1)
 
 
 def _count_step(A: Matrix, C: Matrix, k: int):
     """The rank sequence of P = A^{-1} C, each rank divided by k, and its
-    counts c_0 .. c_{(n-1)//2} for n = size/k.  A must be proven
-    nonsingular by the caller; `pencil_rank_sequence` reads the ranks off
-    the Wong sequence of the pencil (A, C), with no inverse and no power of
-    P."""
+    counts c_0 .. c_{(n-1)//2} for n = size/k; ((0,), ()) for n = 0.  A
+    must be proven nonsingular by the caller; `pencil_rank_sequence` reads
+    the ranks off the Wong sequence of the pencil (A, C), with no inverse
+    and no power of P.  With A = B^T and C = B - B^T, P = B^{-T}B - I."""
     n = A.nrows // k
+    if n == 0:
+        return (0,), ()
     r = [x // k for x in pencil_rank_sequence(A, C)[: n + 2]]
     # r holds r_0 .. r_{n+1}, enough for every count
     return tuple(r), tuple(r[2 * j] - 2 * r[2 * j + 1] + r[2 * j + 2] for j in range((n + 1) // 2))
@@ -165,7 +162,9 @@ def decide(M: Matrix) -> DecisionReport:
     odd_singular = any(s % 2 == 1 for s in sizes)
     # regularize has proven B nonsingular; padding is exact: c_k = 0 once
     # 2k+1 exceeds the regular part's size
-    r_seq, counts = odd_unipotent_counts(reg.regular_part, _nonsingular=True)
+    B = reg.regular_part
+    BT = B.transpose()
+    r_seq, counts = _count_step(BT, B - BT, 1)
     counts += (0,) * ((n + 1) // 2 - len(counts))
     ok = not odd_singular and all(c == 0 for c in counts)
 

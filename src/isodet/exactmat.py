@@ -1104,17 +1104,9 @@ def pencil_rank_sequence(A: Matrix, C: Matrix) -> list[int]:
 def power_rank_sequence(P: Matrix) -> list[int]:
     """[r_0, ..., r_{m+1}] with r_k = rank(P^k) for an m x m P; r_0 = m.
 
-    Stops multiplying once the rank stabilizes and pads with the stable value.
+    The Wong sequence of the pencil (I, P): `pencil_rank_sequence`, with no
+    matrix power.
     """
     if not P.is_square:
         raise ValueError("power_rank_sequence needs a square matrix")
-    m = P.nrows
-    seq = [m]
-    cur = P
-    while True:
-        r = rank(cur)
-        seq.append(r)
-        if r == seq[-2] or r == 0:
-            # every earlier step lowered the rank: at most m + 2 entries
-            return seq + [r] * (m + 2 - len(seq))
-        cur = cur * P
+    return pencil_rank_sequence(Matrix.identity(P.field, P.nrows), P)

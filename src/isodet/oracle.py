@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactmat import Field, Matrix, full_rank
+from .exactmat import Matrix, full_rank
 
 #: testing more (partial matrix, vector) pairs than this raises
 #: BudgetExceededError.
@@ -131,23 +131,19 @@ def enumerate_isometries(M: Matrix, limit: int = DEFAULT_LIMIT) -> IsometrySumma
     return IsometrySummary(order, det_counts, det_counts.get(1, 0) == order)
 
 
-def random_transform(field: Field, n: int, seed: int) -> Matrix:
-    """Deterministic pseudo-random nonsingular n x n matrix with small
-    entries (rejection sampling on the seed stream)."""
-    rng = random.Random(seed)
-    while True:
-        if field.is_rational:
-            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        else:
-            rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
-        T = Matrix(field, rows)
-        if full_rank(T):
-            return T
-
-
 def random_congruence(M: Matrix, seed: int) -> Matrix:
-    """T^T M T for the transform produced by random_transform(seed)."""
+    """T^T M T for a deterministic pseudo-random nonsingular T with small
+    entries: rows drawn from random.Random(seed), in [-3, 3] over Q and
+    in range(p) over F_p, until a draw has full rank."""
     if not M.is_square:
         raise ValueError("square matrix required")
-    T = random_transform(M.field, M.nrows, seed)
-    return T.transpose() * M * T
+    f, n = M.field, M.nrows
+    rng = random.Random(seed)
+    while True:
+        if f.is_rational:
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        else:
+            rows = [[rng.randrange(f.p) for _ in range(n)] for _ in range(n)]
+        T = Matrix(f, rows)
+        if full_rank(T):
+            return T.transpose() * M * T

@@ -8,7 +8,7 @@ import random
 import numpy as np
 
 from isodet import (GF, QQ, DecisionReport, Matrix, Method, Poly, SingularMatrixError, det,
-                    direct_sum, gamma, inverse, jordan, power_rank_sequence, symplectic_unit)
+                    direct_sum, gamma, inverse, jordan, symplectic_unit)
 from isodet.exactmat import hstack, inverse_times, nullspace, rank, rref
 
 # Q, a small and a large prime field
@@ -271,6 +271,27 @@ def ref_det_poly(A: Matrix, B: Matrix) -> Poly:
     return -d if sign < 0 else d
 
 
+# --- reference for the rank sequences ----------------------------------------
+
+
+def ref_power_rank_sequence(P: Matrix) -> list[int]:
+    """[r_0, ..., r_{m+1}] with r_k = rank(P^k) for an m x m P, by matrix
+    powers: no Wong sequence, so it checks pencil_rank_sequence.
+
+    Stops multiplying once the rank stabilizes and pads with the stable value.
+    """
+    m = P.nrows
+    seq = [m]
+    cur = P
+    while True:
+        r = rank(cur)
+        seq.append(r)
+        if r == seq[-2] or r == 0:
+            # every earlier step lowered the rank: at most m + 2 entries
+            return seq + [r] * (m + 2 - len(seq))
+        cur = cur * P
+
+
 # --- reference for the gamma route's shift choice -----------------------------
 
 
@@ -293,7 +314,7 @@ def ref_gamma_shift(M: Matrix):
         return None
     N = inverse(MT + M.scale(gamma)) * M
     mu = f.inv(f.add(f.one(), gamma))
-    r = power_rank_sequence(N - Matrix.identity(f, n).scale(mu))
+    r = ref_power_rank_sequence(N - Matrix.identity(f, n).scale(mu))
     counts = tuple(r[2 * k] - 2 * r[2 * k + 1] + r[2 * k + 2] for k in range((n + 1) // 2))
     return DecisionReport(all(c == 0 for c in counts), Method.GAMMA_SHIFT, None, tuple(r), counts,
                           gamma_used=gamma)
@@ -308,5 +329,5 @@ def ref_odd_unipotent_counts(B: Matrix):
     b = B.nrows
     if b == 0:
         return (0,), ()
-    r = power_rank_sequence(inverse(B.transpose()) * B - Matrix.identity(B.field, b))
+    r = ref_power_rank_sequence(inverse(B.transpose()) * B - Matrix.identity(B.field, b))
     return tuple(r), tuple(r[2 * k] - 2 * r[2 * k + 1] + r[2 * k + 2] for k in range((b + 1) // 2))

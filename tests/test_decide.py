@@ -71,6 +71,16 @@ class TestDecideExamples:
     def test_empty_matrix(self):
         assert decide(Matrix(QQ, [], ncols=0)).all_det_one
 
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_empty_regular_part(self, field, s):
+        # J_s(0) regularizes to an empty B: the count step's n = 0 case,
+        # padded to one count per odd size up to s
+        rep = decide(jordan(s, 0, field))
+        assert rep.singular_sizes == (s,)
+        assert rep.rank_sequence == (0,)
+        assert rep.odd_block_counts == (0,) * ((s + 1) // 2)
+
     def test_theorem_check_fires(self, monkeypatch):
         # an accepted input never runs the skew test; a refusal of an input
         # with nonsingular M - M^T contradicts the theorem and raises
@@ -79,7 +89,7 @@ class TestDecideExamples:
         monkeypatch.setattr(d, "skew_fast_path", lambda M: pytest.fail("skew test on an accept"))
         assert decide(symplectic_unit(1)).all_det_one
         monkeypatch.setattr(d, "skew_fast_path", skew)
-        monkeypatch.setattr(d, "odd_unipotent_counts", lambda B, **_: ((2, 1, 1, 1), (1,)))
+        monkeypatch.setattr(d, "_count_step", lambda A, C, k: ((2, 1, 1, 1), (1,)))
         with pytest.raises(AssertionError):
             decide(symplectic_unit(1))
 
@@ -201,8 +211,34 @@ class TestGammaShift:
             assert calls == [(n, n)]
         B = gamma(3)
         calls.clear()
-        assert odd_unipotent_counts(B) == d.odd_unipotent_counts(B, _nonsingular=True)
+        assert odd_unipotent_counts(B) == d._count_step(B.transpose(), B - B.transpose(), 1)
         assert calls == [(3, 3)]
+
+    def test_routes_reach_the_wong_sequence_through_one_count_step(self, monkeypatch):
+        d = importlib.import_module("isodet.decide")
+        real_step, real_sequence, steps, inside = d._count_step, d.pencil_rank_sequence, [], []
+
+        def step(A, C, k):
+            steps.append(k)
+            inside.append(True)
+            try:
+                return real_step(A, C, k)
+            finally:
+                inside.pop()
+
+        def sequence(A, C):
+            assert inside, "pencil_rank_sequence outside _count_step"
+            return real_sequence(A, C)
+
+        monkeypatch.setattr(d, "_count_step", step)
+        monkeypatch.setattr(d, "pencil_rank_sequence", sequence)
+        # one count step per input; the gamma route stops before it on D = 0
+        for M, gamma_steps in ((gamma(3), 1), (direct_sum([jordan(2, 0, QQ), gamma(4)]), 1),
+                               (jordan(3, 0), 0)):
+            for route, expected in ((decide, 1), (decide_gamma_shift, gamma_steps)):
+                steps.clear()
+                route(M)
+                assert steps == [1] * expected
 
     def test_extension_shift_over_f3(self):
         # the pencil vanishes at 0, 1 and -1, every point of F_3, yet is not

@@ -24,7 +24,6 @@ from isodet import (
     inverse,
     odd_unipotent_counts,
     power_rank_sequence,
-    random_transform,
     random_congruence,
     rank,
     regularize,
@@ -50,7 +49,8 @@ from isodet.exactmat import (
     vstack,
 )
 
-from helpers import FIELDS, mat, ref_det, ref_det_poly, ref_matmul, ref_rref
+from helpers import (FIELDS, mat, random_nonsingular, ref_det, ref_det_poly, ref_matmul,
+                     ref_power_rank_sequence, ref_rref)
 
 
 def small_entries():
@@ -291,7 +291,7 @@ class TestPolyDivmod:
 
 
 def reference_pencil_ranks(A: Matrix, C: Matrix) -> list[int]:
-    return power_rank_sequence(inverse_times(A, C, "reference"))
+    return ref_power_rank_sequence(inverse_times(A, C, "reference"))
 
 
 PENCIL_FIELDS = [QQ, GF(3), GF(5), GF(7), GF(10007)]
@@ -305,7 +305,7 @@ class TestPencilRankSequence:
         for _ in range(40):
             J = direct_sum([jordan(rng.randint(1, 4), rng.choice([0, 1, 2]), field)
                             for _ in range(rng.randint(1, 4))], field=field)
-            A = random_transform(field, J.nrows, rng.getrandbits(32))
+            A = random_nonsingular(random.Random(rng.getrandbits(32)), J.nrows, field)
             assert pencil_rank_sequence(A, A * J) == reference_pencil_ranks(A, A * J)
 
     @pytest.mark.parametrize("field", PENCIL_FIELDS, ids=repr)
@@ -340,9 +340,9 @@ class TestPencilRankSequence:
     @pytest.mark.parametrize("field", PENCIL_FIELDS, ids=repr)
     def test_zero_and_nonsingular_c(self, field):
         for n in range(5):
-            A = random_transform(field, n, n)
+            A = random_nonsingular(random.Random(n), n, field)
             assert pencil_rank_sequence(A, Matrix.zeros(field, n, n)) == [n] + [0] * (n + 1)
-            C = random_transform(field, n, n + 7)
+            C = random_nonsingular(random.Random(n + 7), n, field)
             assert pencil_rank_sequence(A, C) == [n] * (n + 2) == reference_pencil_ranks(A, C)
 
     @pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)

@@ -46,6 +46,23 @@ def test_only_exactmat_imports_kernel_internals():
     assert private_kernel_imports(SRC) == []
 
 
+def hidden_parameters(src: Path) -> list[str]:
+    """module.function(parameter) for every public function (a name without
+    a leading _, methods included) that takes a _-prefixed parameter."""
+    return [f"{path.stem}.{node.name}({arg.arg})"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if arg.arg.startswith("_")]
+
+
+def test_public_functions_take_no_hidden_parameters():
+    # a public entry point states its whole contract; a private knob on it
+    # is a second entry point the callers cannot see
+    assert hidden_parameters(SRC) == []
+
+
 def elimination_routines(exactmat: Path) -> set[str]:
     """The module-level functions of exactmat that reach the elimination
     kernel `_eliminate`, directly or through one another."""

@@ -19,9 +19,8 @@ from isodet import (
     symplectic_unit,
     verify_congruence,
 )
-from isodet.oracle import random_transform
-
-from helpers import all_matrices, mat, ref_isometry_dets, scan_isometry_dets
+from helpers import (FIELDS, all_matrices, mat, random_nonsingular, ref_isometry_dets,
+                     scan_isometry_dets)
 
 
 def order_gl(n, q):
@@ -154,8 +153,19 @@ class TestRandomCongruence:
         M = Matrix(f, [[1, 2], [3, 4]])
         for seed in range(10):
             N = random_congruence(M, seed)
-            T = random_transform(f, 2, seed)
+            T = random_nonsingular(random.Random(seed), 2, f)
             assert verify_congruence(T, M, N)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_transform_is_the_helpers_draw(self, field):
+        # T follows random.Random(seed) as random_nonsingular draws it,
+        # rejected singular draws included: the corpora rest on this stream
+        rng = random.Random(2)
+        for n in range(9):
+            M = Matrix(field, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)], ncols=n)
+            for seed in (0, 1, 7, 123):
+                T = random_nonsingular(random.Random(seed), n, field)
+                assert random_congruence(M, seed) == T.transpose() * M * T
 
     def test_deterministic(self):
         M = Matrix(GF(3), [[1, 0], [1, 2]])
