@@ -28,10 +28,10 @@ from .exactmat import (
     SingularMatrixError,
     det,
     full_rank,
-    inverse_times,
     kron,
     pencil_rank_sequence,
     rank,
+    vstack,
 )
 from .regularize import RegularizationResult, regularize
 
@@ -110,26 +110,43 @@ def _count_step(A: Matrix, C: Matrix, k: int):
 def certificate_singular(M: Matrix, reg: RegularizationResult) -> Matrix:
     """An isometry of M with determinant -1, built from the first odd
     singular block: flip signs on that block's coordinates and conjugate
-    back through the regularizing transform."""
+    back through the regularizing transform, by products alone.
+
+    With S the transform, U its s columns u_0 .. u_{s-1} for the block and
+    Phi the matching s rows of S^{-1}, the certificate is S D S^{-1} for D
+    the sign flip on the block, that is R = I - 2 U Phi.  D is an isometry
+    of N = S^T M S with det D = (-1)^s = -1, so R is one of M with
+    determinant -1.  Phi needs no elimination: M S = S^{-T} N and
+    M^T S = S^{-T} N^T, and the block of N is J_s(0), ones on the
+    subdiagonal, so for s >= 3 row t of Phi is u_{t+1}^T M for t < s - 1
+    and the last row is (M u_{s-2})^T.  For s = 1, M u = M^T u = 0, so
+    R = I - 2 u Phi is an isometry with det R = 1 - 2 Phi u = -1 for every
+    row Phi with Phi u = 1.  e_j^T / u_j, j the last nonzero coordinate of
+    u, is one; for `regularize`'s transforms it is the row of S^{-1}, as
+    their other columns vanish on j.  A transform with Phi U != I, which no
+    verified congruence gives, is refused as singular.
+    """
     f = M.field
     n = M.nrows
     offset = reg.regular_part.nrows
     for s in reg.singular_sizes:
         if s % 2 == 1:
-            start, width = offset, s
             break
         offset += s
     else:
         raise NoOddBlockError("no odd singular block to build a certificate from")
-    # S D S^{-1} with D = I - 2 E E^T, E the block's columns of I, is
-    # I + (S E)(-2 E^T S^{-1}), and -2 E^T S^{-1} = W^T for the solution W
-    # of S^T W = -2 E: one solve with a column per coordinate of the block
-    S = reg.transform
-    block = range(start, start + width)
-    identity = Matrix.identity(f, n)
-    W = inverse_times(S.transpose(), identity.submatrix(range(n), block).scale(-2),
-                      "certificate_singular")
-    return S.submatrix(range(n), block) * W.transpose() + identity
+    U = reg.transform.submatrix(range(n), range(offset, offset + s))
+    if s == 1:
+        u = U.col(0)
+        last = max((i for i in range(n) if u[i]), default=0)  # u = 0 leaves Phi = 0
+        Phi = Matrix.identity(f, n).submatrix([last], range(n)).scale(
+            f.inv(u[last]) if u[last] else 0)
+    else:
+        Phi = vstack(U.submatrix(range(n), range(1, s)).transpose() * M,
+                     (M * U.submatrix(range(n), [s - 2])).transpose())
+    if Phi * U != Matrix.identity(f, s):
+        raise SingularMatrixError(f"certificate_singular: singular {n}x{n} matrix")
+    return U * Phi.scale(-2) + Matrix.identity(f, n)
 
 
 def verify_certificate(M: Matrix, S: Matrix) -> bool:

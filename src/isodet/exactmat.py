@@ -19,17 +19,19 @@ canonical residues themselves.  This module is the only one that reads or
 builds the stored form; the others use the public operations, among them
 `hstack`, `vstack`, `direct_sum` and `kron`.
 
-`rank`, `pivots`, `rref`, `solve`, `inverse_times` (A^{-1} C, so
-`inverse`), `nullspace`, `det` and `pencil_rank_sequence` (the ranks of
-(A^{-1} C)^k) share one fraction-free elimination kernel that takes the
-stored rows as they are: a forward pass, `_eliminate`, and a back
-substitution, `_back_substitute`, that runs only when a reduced form is
-asked for (`rref`, `solve`, `inverse_times`, and `nullspace` and
-`pencil_rank_sequence` when some column is free).  Their outputs are read
-off the kernel's rows in the stored form, a row over its pivot entry.  The
-forward pass also keeps a log of its row updates over Q; only `det` reads
-it.  `det_poly`, the pencil determinant det(A + t·B), has no elimination
-of its own: it calls `det` at n + 1 points and `solve` once.
+`rank`, `pivots`, `rref`, `solve`, `inverse`, `nullspace`, `det` and
+`pencil_rank_sequence` (the ranks of (A^{-1} C)^k) share one
+fraction-free elimination kernel that takes the stored rows as they are:
+a forward pass, `_eliminate`, and a back substitution, `_back_substitute`,
+that runs only when a reduced form is asked for (`rref`, `solve`,
+`inverse`, and `nullspace` and `pencil_rank_sequence` when some column is
+free).  Their outputs are read off the kernel's rows in the stored form, a
+row over its pivot entry.  Over F_p the forward pass scales every pivot to
+1, so that reading holds there as it stands: each reduced form is read one
+way over both fields.  The forward pass also keeps a log of its row
+updates over Q; only `det` reads it.  `det_poly`, the pencil determinant
+det(A + t·B), has no elimination of its own: it calls `det` at n + 1
+points and `solve` once.
 
 Over Q, `full_rank`, `nullspace` (of a matrix with at least as many
 rows as columns) and `pencil_rank_sequence` (of C) first run the forward
@@ -250,7 +252,10 @@ class Matrix:
               ncols: int) -> "Matrix":
         """The matrix over Q whose row i is rows[i] / dens[i] (a nonzero
         denominator of either sign), brought to the stored form by one gcd
-        per row."""
+        per row.  It serves F_p too, where the kernel's reduced rows, read
+        over their pivot entries, come with unit denominators (every pivot
+        is scaled to 1): there each denominator must be 1 and the rows
+        canonical residues, taken as they are."""
         out, outd = [], []
         for r, d in zip(rows, dens):
             if d != 1:
@@ -757,13 +762,10 @@ def full_rank(A: Matrix) -> bool:
 
 def rref(A: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    f = A.field
     rows, piv = _reduced(A)
-    if f.p is not None:
-        return Matrix._of(f, rows, A.ncols), piv
     # each row over its pivot entry; the rows below the rank are zero
     dens = [row[c] for row, c in zip(rows, piv)] + [1] * (A.nrows - len(piv))
-    return Matrix._over(f, rows, dens, A.ncols), piv
+    return Matrix._over(A.field, rows, dens, A.ncols), piv
 
 
 def nullspace(A: Matrix) -> Matrix:
@@ -796,48 +798,35 @@ def nullspace(A: Matrix) -> Matrix:
     return Matrix._over(f, basis, dens, len(free))
 
 
-def _solution(f: Field, rows: list[list[int]], piv: list[int], n: int, k: int) -> Matrix:
-    """The solution of A X = b with the free variables zero, read off the
-    reduced rows of a consistent [A | b], A with n columns and b with k:
-    row piv[i] of X is the part of row i right of column n, over its pivot
-    entry."""
+def solve(A: Matrix, b: Matrix) -> Matrix | None:
+    """One exact solution of A·X = b (free variables set to zero), or None.
+    It is read off the reduced rows of [A | b]: row piv[i] of X is the part
+    of row i right of A's columns, over its pivot entry."""
+    if A.nrows != b.nrows:
+        raise ValueError("solve shape mismatch")
+    n, k = A.ncols, b.ncols
+    rows, piv = _reduced(hstack(A, b))
+    # a pivot in the augmented part means the system is inconsistent
+    if piv and piv[-1] >= n:
+        return None
     out = [[0] * k for _ in range(n)]
     dens = [1] * n
     for row, c in zip(rows, piv):
         out[c] = row[n:]
         dens[c] = row[c]
-    if f.p is not None:  # the pivot entries are 1
-        return Matrix._of(f, out, k)
-    return Matrix._over(f, out, dens, k)
-
-
-def solve(A: Matrix, b: Matrix) -> Matrix | None:
-    """One exact solution of A·X = b (free variables set to zero), or None."""
-    if A.nrows != b.nrows:
-        raise ValueError("solve shape mismatch")
-    n = A.ncols
-    rows, piv = _reduced(hstack(A, b))
-    # a pivot in the augmented part means the system is inconsistent
-    if piv and piv[-1] >= n:
-        return None
-    return _solution(A.field, rows, piv, n, b.ncols)
-
-
-def inverse_times(A: Matrix, C: Matrix, stage: str) -> Matrix:
-    """A^{-1} C for a square A, read off one reduced elimination of [A | C];
-    a singular A raises SingularMatrixError naming the caller's stage."""
-    n = A.nrows
-    if not A.is_square or C.nrows != n:
-        raise ValueError(f"{stage}: A^-1 C needs a square A and C with its rows")
-    rows, piv = _reduced(hstack(A, C))
-    if piv != list(range(n)):
-        raise SingularMatrixError(f"{stage}: singular {n}x{n} matrix")
-    return _solution(A.field, rows, piv, n, C.ncols)
+    return Matrix._over(A.field, out, dens, k)
 
 
 def inverse(A: Matrix) -> Matrix:
-    """Exact two-sided inverse via Gauss-Jordan; raises SingularMatrixError."""
-    return inverse_times(A, Matrix.identity(A.field, A.nrows), "inverse")
+    """Exact two-sided inverse, the solution of A X = I, read off one
+    reduced elimination of [A | I]; raises SingularMatrixError."""
+    n = A.nrows
+    if not A.is_square:
+        raise ValueError("inverse: A^-1 C needs a square A and C with its rows")
+    X = solve(A, Matrix.identity(A.field, n))
+    if X is None:  # A X = I is consistent exactly when A is nonsingular
+        raise SingularMatrixError(f"inverse: singular {n}x{n} matrix")
+    return X
 
 
 def det(A: Matrix):
@@ -1053,15 +1042,11 @@ def pencil_rank_sequence(A: Matrix, C: Matrix) -> list[int]:
     rho = bisect_left(piv, n)
     top = piv[:rho]
     _back_substitute(rows, top, p)
-    # E A x for x zero off C's pivots, x_{top[i]} = t_i / pv_i, is ea·t / m
-    # over Q, with m the lcm of the pivot entries pv_i
-    if p is None:
-        pv = [row[c] for row, c in zip(rows, top)]
-        m = lcm(*pv)
-        ea = [[r[n + c] * (m // d) for c, d in zip(top, pv)] for r in rows]
-    else:
-        m = 1
-        ea = [[r[n + c] for c in top] for r in rows]
+    # E A x for x zero off C's pivots, x_{top[i]} = t_i / pv_i, is ea·t / m,
+    # with m the lcm of the pivot entries pv_i (1 over F_p)
+    pv = [row[c] for row, c in zip(rows, top)]
+    m = lcm(*pv)
+    ea = [[r[n + c] * (m // d) for c, d in zip(top, pv)] for r in rows]
 
     def image(t, j=None):
         """E A x for that x, plus m times E A's column j; primitive over Q."""
@@ -1090,11 +1075,8 @@ def pencil_rank_sequence(A: Matrix, C: Matrix) -> list[int]:
         for j in new:
             # the null space vector of free column j, as (coefficient, column)
             terms = [(law[i][j], i) for i in range(len(q)) if law[i][j]]
-            if p is None:
-                e = lcm(*(law[i][q[i]] for _, i in terms))
-                c = [(e, j)] + [(-a * (e // law[i][q[i]]), q[i]) for a, i in terms]
-            else:
-                c = [(1, j)] + [(-a, q[i]) for a, i in terms]
+            e = lcm(*(law[i][q[i]] for _, i in terms))
+            c = [(e, j)] + [(-a * (e // law[i][q[i]]), q[i]) for a, i in terms]
             cols.append(image([sum(a * cols[l][i] for a, l in c) for i in range(rho)]))
         seq.append(seq[-1] - len(new))
         old = width

@@ -9,7 +9,7 @@ import numpy as np
 
 from isodet import (GF, QQ, DecisionReport, Matrix, Method, Poly, SingularMatrixError, det,
                     direct_sum, gamma, inverse, jordan, symplectic_unit)
-from isodet.exactmat import hstack, inverse_times, nullspace, rank, rref
+from isodet.exactmat import hstack, nullspace, rank, rref
 
 # Q, a small and a large prime field
 FIELDS = [QQ, GF(3), GF(10007)]
@@ -101,7 +101,7 @@ def known_sum(spec: str, field=QQ, seed=0):
 
 
 def cosquare_root(Phi: Matrix) -> Matrix | None:
-    """A nonsingular A with A^{-T} A = Phi, checked by inverse_times, or
+    """A nonsingular A with A^{-T} A = Phi, checked by inverse, or
     None when no such A exists over the field of Phi.
 
     A^{-T} A = Phi says A = A^T Phi, so every root lies in the nullspace of
@@ -127,7 +127,7 @@ def cosquare_root(Phi: Matrix) -> Matrix | None:
         A = Matrix(f, [[sum(ci * N[a * m + b, i] for i, ci in enumerate(c)) for b in range(m)]
                        for a in range(m)])
         try:
-            cosquare = inverse_times(A.transpose(), A, "cosquare_root")
+            cosquare = inverse(A.transpose()) * A
         except SingularMatrixError:
             continue
         assert cosquare == Phi, (Phi.to_lists(), A.to_lists())

@@ -28,6 +28,7 @@ from isodet import (
     symplectic_unit,
     verify_certificate,
 )
+from isodet import exactmat
 
 from helpers import (
     known_sum,
@@ -370,11 +371,17 @@ class TestCertificates:
             certificate_singular(M, regularize(M))
 
     def test_singular_transform_names_stage(self):
-        M = direct_sum([jordan(1, 0), symplectic_unit(1)])
-        reg = regularize(M)
-        bad = RegularizationResult(Matrix.zeros(QQ, 3, 3), reg.regular_part, reg.singular_sizes)
-        with pytest.raises(SingularMatrixError, match="^certificate_singular: singular 3x3 matrix$"):
-            certificate_singular(M, bad)
+        # a zero transform fails the check Phi U = I, for a 1x1 first odd
+        # block and for a J3, whose Phi is read off products
+        for first in (1, 3):
+            M = direct_sum([jordan(first, 0), symplectic_unit(1)])
+            reg = regularize(M)
+            n = M.nrows
+            bad = RegularizationResult(Matrix.zeros(QQ, n, n), reg.regular_part,
+                                       reg.singular_sizes)
+            with pytest.raises(SingularMatrixError,
+                               match=f"^certificate_singular: singular {n}x{n} matrix$"):
+                certificate_singular(M, bad)
 
     def test_verify_field_mismatch(self):
         # -1 over F_3 and over Q: each is a certificate only over its own field
@@ -401,8 +408,10 @@ class TestCertificates:
         # an involution with determinant -1 that is no isometry
         assert not verify_certificate(mat([[0, 1], [0, 0]]), mat([[-1, 0], [0, 1]]))
 
-    @pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=repr)
-    @pytest.mark.parametrize("spec", ["J2+J3+G2", "J4+J2+J5+G1", "J2+J3+J1+G2", "J3+J3+J1+Z1"])
+    # the first odd block is J3, J5, J1, J1, J5, J7 and one of two J1
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(10007)], ids=repr)
+    @pytest.mark.parametrize("spec", ["J2+J3+G2", "J4+J2+J5+G1", "J2+J3+J1+G2", "J3+J3+J1+Z1",
+                                      "J5+G3", "J7+J2+G1", "J1+J2+J1+J3+G2"])
     def test_matches_conjugated_sign_flip(self, field, spec):
         # the certificate is S D S^{-1}, D = -1 on the first odd singular
         # block of S^T M S and 1 elsewhere; the reference uses inverse(S)
@@ -418,6 +427,19 @@ class TestCertificates:
         S = reg.transform
         cert = certificate_singular(M, reg)
         assert cert == S * D * inverse(S)
+        assert verify_certificate(M, cert)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+    @pytest.mark.parametrize("spec", ["J1+G12", "J3+G10", "J5+J2+G8"])
+    def test_certificate_runs_no_elimination(self, monkeypatch, field, spec):
+        # the rows of S^{-1} come from products with the verified congruence
+        M = known_sum(spec, field, seed=spec)[0]
+        reg = regularize(M)
+        real, calls = exactmat._eliminate, []
+        monkeypatch.setattr(exactmat, "_eliminate", lambda *a: calls.append(a) or real(*a))
+        cert = certificate_singular(M, reg)
+        assert len(calls) == 0
+        monkeypatch.undo()
         assert verify_certificate(M, cert)
 
     def test_certificates_on_random_odd_singular(self):

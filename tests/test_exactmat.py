@@ -39,7 +39,6 @@ from isodet.exactmat import (
     _unpack,
     full_rank,
     hstack,
-    inverse_times,
     kron,
     nullspace,
     pencil_rank_sequence,
@@ -160,10 +159,6 @@ class TestInverse:
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             inverse(mat([[1, 2]]))
-        with pytest.raises(ValueError):
-            inverse_times(mat([[1], [2]]), mat([[1], [2]]), "stage")
-        with pytest.raises(ValueError):
-            inverse_times(mat([[1]]), mat([[1], [2]]), "stage")
 
 
 class TestDet:
@@ -291,7 +286,7 @@ class TestPolyDivmod:
 
 
 def reference_pencil_ranks(A: Matrix, C: Matrix) -> list[int]:
-    return ref_power_rank_sequence(inverse_times(A, C, "reference"))
+    return ref_power_rank_sequence(inverse(A) * C)
 
 
 PENCIL_FIELDS = [QQ, GF(3), GF(5), GF(7), GF(10007)]
@@ -606,7 +601,7 @@ class TestPackedRows:
     @settings(max_examples=60, deadline=None)
     @given(packed_fields_and(lambda f: st.tuples(widths(f), widths(f)).flatmap(
         lambda nk: st.tuples(matrices(f, nk[0], nk[0]), matrices(f, nk[0], nk[1])))))
-    def test_det_and_inverse_times(self, args):
+    def test_det_and_solve_square(self, args):
         A, C = args
         n = A.nrows
         assert det(A) == ref_det(A)
@@ -614,9 +609,9 @@ class TestPackedRows:
         if piv[:n] != list(range(n)):
             assert det(A) == 0
             with pytest.raises(SingularMatrixError):
-                inverse_times(A, C, "test")
+                inverse(A)
             return
-        assert inverse_times(A, C, "test") == Matrix(A.field, [r[n:] for r in rows], ncols=C.ncols)
+        assert solve(A, C) == Matrix(A.field, [r[n:] for r in rows], ncols=C.ncols)
 
     @settings(max_examples=60, deadline=None)
     @given(packed_fields_and(lambda f: st.tuples(widths(f), widths(f), widths(f)).flatmap(
@@ -651,10 +646,10 @@ class TestPackedRows:
         C = Matrix(field, [[rng.randrange(p) for _ in range(2)] for _ in range(n)])
         rows, piv = ref_rref(augmented(S, C))
         if piv[:n] == list(range(n)):
-            assert inverse_times(S, C, "test") == Matrix(field, [r[n:] for r in rows], ncols=2)
+            assert solve(S, C) == Matrix(field, [r[n:] for r in rows], ncols=2)
         else:
             with pytest.raises(SingularMatrixError):
-                inverse_times(S, C, "test")
+                inverse(S)
 
     # 2^61 - 1 and 2^24 - 3 nearly fill their bit length, so they leave the
     # least room in a slot; the backward pass packs over the latter, not the
@@ -674,11 +669,11 @@ class TestPackedRows:
             # A^{-1}(A·J) = J for J all ones: each solution row subtracted in
             # back substitution is 1 in every slot of the right-hand side
             J = Matrix(field, [[1] * n] * n)
-            assert inverse_times(A, A * J, "test") == J
+            assert solve(A, A * J) == J
             # every product slot sums n products of two entries p - 1
             full = J.scale(-1)
             assert full * full == Matrix(field, [[n % p] * n] * n)
-            assert inverse_times(A, full, "test") == Matrix(
+            assert solve(A, full) == Matrix(
                 field, [r[n:] for r in ref_rref(augmented(A, full))[0]], ncols=n)
 
     # (p, k, w) on both sides of each slot width change: 16 -> 32 bits,
@@ -700,13 +695,13 @@ class TestPackedRows:
         S = lu_product(f, k, k, above)
         assert det(S) == 1 == ref_det(S)
         J = Matrix(f, [[1] * k] * k)
-        assert inverse_times(S, S * J, "test") == J
+        assert solve(S, S * J) == J
         # every slot of these products sums k terms, each (p - 1)^2 in F's
         full = Matrix(f, [[p - 1] * k] * (k + 8))
         for X, Y in ((A, A.transpose()), (full, full.transpose()), (full, A.transpose())):
             assert X * Y == Matrix(f, ref_matmul(X, Y), ncols=Y.ncols)
         C = full.submatrix(range(k), range(k))
-        assert inverse_times(S, C, "test") == Matrix(
+        assert solve(S, C) == Matrix(
             f, [r[k:] for r in ref_rref(augmented(S, C))[0]], ncols=k)
 
     def test_unpack_masks_the_slots_above(self):
@@ -750,7 +745,7 @@ class TestPackedRows:
         assert solve(D, D * X) is not None
         assert solve(D, Matrix(field, [[1]] + [[0]] * 15)) is None
         with pytest.raises(SingularMatrixError):
-            inverse_times(D, Matrix.identity(field, 16), "test")
+            inverse(D)
 
     @pytest.mark.parametrize("field", [GF(3), GF(LARGE_PRIME)], ids=repr)
     def test_empty_shapes(self, field):
@@ -834,10 +829,10 @@ class TestInverseTimes:
         A, C = args
         n = A.nrows
         if rank(A) < n:
-            with pytest.raises(SingularMatrixError, match=f"^some stage: singular {n}x{n} matrix$"):
-                inverse_times(A, C, "some stage")
+            with pytest.raises(SingularMatrixError, match=f"^inverse: singular {n}x{n} matrix$"):
+                inverse(A)
             return
-        X = inverse_times(A, C, "some stage")
+        X = solve(A, C)
         assert X == inverse(A) * C
         assert A * X == C
 
